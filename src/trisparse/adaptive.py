@@ -5,6 +5,7 @@ deduction."""
 from __future__ import annotations
 
 import math
+import sys
 import warnings
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -26,6 +27,12 @@ DEFAULT_GAMMA = 1.0
 DEFAULT_P_FLOOR = 0.001
 DEFAULT_TRIALS_PER_P = 6
 DEFAULT_SPREAD_THRESHOLD = 0.1
+
+
+# p^2*delta_max is a rounded product: at an exact tie such as p = n^-1/2,
+# delta_max = n it can land an ulp or two below 1, so values this close
+# to 1 count as the tie
+_TIE_TOLERANCE = 4 * sys.float_info.epsilon
 
 
 def _log(x: float) -> float:
@@ -70,10 +77,11 @@ class ConditionReport:
 
 def check_conditions(n: int, t: float, delta_max: float, p: float,
                      gamma: float = DEFAULT_GAMMA) -> ConditionReport:
-    """Classify the regime by the sign of p^2*delta_max - 1 (ties go to the
-    shared-edge regime) and compare the regime's statistic against
-    (log n)^(6+gamma). Triangle-free inputs (t=0 or delta_max=0) are
-    reported unsatisfied with the degenerate flag set."""
+    """Classify the regime by the sign of p^2*delta_max - 1 (ties, up to
+    a few ulps of rounding, go to the shared-edge regime) and compare the
+    regime's statistic against (log n)^(6+gamma). Triangle-free inputs
+    (t=0 or delta_max=0) are reported unsatisfied with the degenerate
+    flag set."""
     if n < 3:
         raise ValueError(f"vertex count must be at least 3, got {n}")
     if t < 0:
@@ -86,7 +94,7 @@ def check_conditions(n: int, t: float, delta_max: float, p: float,
         raise ValueError(f"gamma must be positive, got {gamma}")
 
     rhs = _log(n) ** (6.0 + gamma)
-    if p * p * delta_max >= 1.0:
+    if p * p * delta_max >= 1.0 - _TIE_TOLERANCE:
         regime = DELTA_DOMINANT
         lhs = p * t / delta_max
     else:

@@ -8,7 +8,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .adaptive import LOG_BASE
+from .adaptive import _log
 from .exact import TripleCensus
 from .graph import Graph
 
@@ -24,10 +24,6 @@ class SampleBudget:
 
     def to_dict(self) -> dict:
         return {"epsilon": self.epsilon, "delta": self.delta, "r": self.r}
-
-
-def _log(x: float) -> float:
-    return math.log(x) / math.log(LOG_BASE)
 
 
 def _validate_budget_args(census: TripleCensus, epsilon: float, delta: float) -> None:

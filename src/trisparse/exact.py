@@ -13,10 +13,12 @@ from .graph import Graph
 
 DEFAULT_BRUTE_LIMIT = 1000
 
-# cached np.triu_indices results, keyed by forward-degree; capped so odd
-# degree distributions cannot pin unbounded memory
-_PAIR_CACHE: dict[int, tuple[np.ndarray, np.ndarray]] = {}
-_PAIR_CACHE_MAX_F = 512
+# Most wedges one kernel step may hold. A step covers a run of rows of
+# one forward-degree class; a single row can exceed it, but under
+# degree order a row has at most C(sqrt(2m), 2) = O(m) wedges.
+WEDGE_CHUNK = 1 << 18
+# Slots per edge in the probe screen (rounded up to a power of two).
+_SLOTS_PER_EDGE = 8
 
 
 @dataclass(frozen=True)
@@ -61,41 +63,40 @@ def _require_unweighted(g: Graph, what: str) -> None:
         raise ValueError(f"{what} expects an unweighted graph")
 
 
-def _pair_indices(f: int) -> tuple[np.ndarray, np.ndarray]:
-    if f <= _PAIR_CACHE_MAX_F:
-        got = _PAIR_CACHE.get(f)
-        if got is None:
-            got = np.triu_indices(f, 1)
-            _PAIR_CACHE[f] = got
-        return got
-    return np.triu_indices(f, 1)
-
-
 def _forward_structure(g: Graph):
     """Orient each edge from its lower to higher endpoint in
-    degree-then-id order; return the forward adjacency in CSR form."""
+    degree-then-id order; return the forward adjacency in CSR form.
+
+    The symmetric CSR already lists every row in ascending id, so keeping
+    the forward entries in place yields ascending forward rows."""
     n = g.n
     deg = g.degrees
-    # stable argsort of degrees sorts ties by id, i.e. degree-then-id order
-    order = np.argsort(deg, kind="stable")
-    rank = np.empty(n, dtype=np.int64)
-    rank[order] = np.arange(n, dtype=np.int64)
-    forward = rank[g.edge_u] < rank[g.edge_v]
-    src = np.where(forward, g.edge_u, g.edge_v)
-    dst = np.where(forward, g.edge_v, g.edge_u)
-    fdeg = np.bincount(src, minlength=n).astype(np.int64)
-    fptr = np.zeros(n + 1, dtype=np.int64)
-    np.cumsum(fdeg, out=fptr[1:])
-    # composite keys are unique, so a plain sort is deterministic
-    perm = np.argsort(src * np.int64(n) + dst)
-    fidx = dst[perm]
-    return fptr, fdeg, fidx
+    rank = deg * np.int64(n) + np.arange(n, dtype=np.int64)
+    keep = np.repeat(rank, deg) < rank[g.indices]
+    kept = np.zeros(keep.size + 1, dtype=np.int64)
+    np.cumsum(keep, out=kept[1:])
+    fptr = kept[g.indptr]
+    return fptr, np.diff(fptr), g.indices[keep]
+
+
+def _slot_table(keys: np.ndarray, n: int) -> tuple[np.ndarray, int]:
+    """Membership screen over the edge keys: a bool table of 2^k slots,
+    2^k >= min(n^2, 8m), with the slot of every key set. A probe whose
+    slot is clear is no edge; one whose slot is set may be. With
+    2^k >= n^2 no two keys share a slot and the screen is exact."""
+    size = 1 << (min(n * n, _SLOTS_PER_EDGE * keys.size) - 1).bit_length()
+    table = np.zeros(size, dtype=bool)
+    table[keys & (size - 1)] = True
+    return table, size - 1
 
 
 def _node_scan(g: Graph, collect: bool):
-    """Node-iterator core: for every vertex, test adjacency between pairs
-    of its forward neighbors via binary search on the sorted edge keys.
-    Each triangle is found exactly once, at its lowest-ranked vertex.
+    """Node-iterator core (forward / compact-forward, Schank & Wagner):
+    for every vertex, test adjacency between pairs of its forward
+    neighbors. Each triangle is found exactly once, at its lowest-ranked
+    vertex. A probe is screened through the slot table first; only probes
+    whose slot is set are looked up by binary search on the sorted edge
+    keys, so the result is exact.
 
     Returns (t, positions) where positions is a tuple of three arrays
     giving, for every triangle, the canonical-edge positions of its three
@@ -107,34 +108,39 @@ def _node_scan(g: Graph, collect: bool):
         return 0, ((empty, empty, empty) if collect else None)
     fptr, fdeg, fidx = _forward_structure(g)
     keys = g.edge_keys
+    table, mask = _slot_table(keys, n)
     t = 0
     pos_a: list[np.ndarray] = []
     pos_b: list[np.ndarray] = []
     pos_c: list[np.ndarray] = []
-    for f in np.unique(fdeg):
+    for f in np.unique(fdeg).tolist():
         if f < 2:
             continue
-        verts = np.flatnonzero(fdeg == f)
-        block = fidx[fptr[verts][:, None] + np.arange(f)[None, :]]
-        ii, jj = _pair_indices(int(f))
-        a = block[:, ii].reshape(-1)
-        b = block[:, jj].reshape(-1)
-        lo = np.minimum(a, b)
-        hi = np.maximum(a, b)
-        probe = lo * np.int64(n) + hi
-        loc = np.searchsorted(keys, probe)
-        np.minimum(loc, m - 1, out=loc)
-        hit = keys[loc] == probe
-        t += int(np.count_nonzero(hit))
-        if collect and hit.any():
-            u_hit = np.repeat(verts, ii.size)[hit]
-            a_hit = a[hit]
-            b_hit = b[hit]
-            k1 = np.minimum(u_hit, a_hit) * np.int64(n) + np.maximum(u_hit, a_hit)
-            k2 = np.minimum(u_hit, b_hit) * np.int64(n) + np.maximum(u_hit, b_hit)
-            pos_a.append(np.searchsorted(keys, k1))
-            pos_b.append(np.searchsorted(keys, k2))
-            pos_c.append(loc[hit])
+        ii, jj = np.triu_indices(f, 1)
+        npairs = ii.size
+        rows = max(1, WEDGE_CHUNK // npairs)
+        cls = np.flatnonzero(fdeg == f)
+        for start in range(0, cls.size, rows):
+            verts = cls[start:start + rows]
+            block = fidx[fptr[verts][:, None] + np.arange(f)]
+            # rows ascend by id, so every pair already has a < b
+            probe = (block * np.int64(n))[:, ii].reshape(-1)
+            probe += block[:, jj].reshape(-1)
+            idx = np.flatnonzero(table[probe & mask])
+            cand = probe[idx]
+            loc = np.searchsorted(keys, cand)
+            np.minimum(loc, m - 1, out=loc)
+            hit = keys[loc] == cand
+            t += int(np.count_nonzero(hit))
+            if collect and hit.any():
+                idx = idx[hit]
+                u_hit = verts[idx // npairs]
+                a_hit, b_hit = np.divmod(cand[hit], np.int64(n))
+                k1 = np.minimum(u_hit, a_hit) * np.int64(n) + np.maximum(u_hit, a_hit)
+                k2 = np.minimum(u_hit, b_hit) * np.int64(n) + np.maximum(u_hit, b_hit)
+                pos_a.append(np.searchsorted(keys, k1))
+                pos_b.append(np.searchsorted(keys, k2))
+                pos_c.append(loc[hit])
     if not collect:
         return t, None
     if pos_a:
@@ -176,8 +182,11 @@ def count_node_iterator(g: Graph, *, edge_deltas: bool = False) -> TriangleStats
     """Exact count by examining, per vertex, the edges among its neighbors.
 
     Degree-then-id ordering restricts the examined pairs to higher-ranked
-    neighbors so each triangle is counted once; pair adjacency is resolved
-    by binary search on the sorted canonical edge keys.
+    neighbors so each triangle is counted once. Pair adjacency goes through
+    a bool slot table over the edge keys, which rejects most non-edges at
+    once; only pairs it passes are resolved by binary search on the sorted
+    canonical edge keys. Each step holds at most ``WEDGE_CHUNK`` pairs, or
+    one vertex's pairs where that vertex alone has more.
     """
     _require_unweighted(g, "count_node_iterator")
     t, delta = _delta_array(g)

@@ -89,19 +89,16 @@ def generate(spec: str, seed: int = 0) -> Graph:
         if len(args) != count:
             raise ValueError(f"model {name!r} expects {count} argument(s), got {len(args)}")
 
-    try:
-        if name == "book":
-            _require(1)
-            return book(int(args[0]))
-        if name == "weighted_book":
-            _require(2)
-            return weighted_book(int(args[0]), float(args[1]))
-        if name == "gnp":
-            _require(2)
-            return gnp(int(args[0]), float(args[1]), seed)
-        if name == "complete":
-            _require(1)
-            return complete(int(args[0]))
-    except ValueError:
-        raise
+    if name == "book":
+        _require(1)
+        return book(int(args[0]))
+    if name == "weighted_book":
+        _require(2)
+        return weighted_book(int(args[0]), float(args[1]))
+    if name == "gnp":
+        _require(2)
+        return gnp(int(args[0]), float(args[1]), seed)
+    if name == "complete":
+        _require(1)
+        return complete(int(args[0]))
     raise ValueError(f"unknown graph model {name!r} (expected book, weighted_book, gnp or complete)")

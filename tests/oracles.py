@@ -72,6 +72,51 @@ def edge_subset_graph(g: Graph, mask: np.ndarray) -> Graph:
     return Graph.build(g.n, g.edge_u[mask], g.edge_v[mask])
 
 
+def searchsorted_node_scan(g: Graph) -> tuple[int, tuple[np.ndarray, np.ndarray, np.ndarray]]:
+    """The node-iterator scan the screened kernel replaced, kept as its
+    reference: forward CSR by argsort in degree-then-id order, every wedge
+    of a forward-degree class at once, every probe looked up by binary
+    search. Returns t and, per triangle in scan order, the canonical-edge
+    positions of its three edges, as ``triangle_edge_positions`` does."""
+    n, m = g.n, g.m
+    empty = np.empty(0, dtype=np.int64)
+    if m == 0 or n < 3:
+        return 0, (empty, empty, empty)
+    order = np.argsort(g.degrees, kind="stable")
+    rank = np.empty(n, dtype=np.int64)
+    rank[order] = np.arange(n, dtype=np.int64)
+    forward = rank[g.edge_u] < rank[g.edge_v]
+    src = np.where(forward, g.edge_u, g.edge_v)
+    dst = np.where(forward, g.edge_v, g.edge_u)
+    fdeg = np.bincount(src, minlength=n).astype(np.int64)
+    fptr = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(fdeg, out=fptr[1:])
+    fidx = dst[np.argsort(src * np.int64(n) + dst)]
+    keys = g.edge_keys
+    t = 0
+    pos: list[list[np.ndarray]] = [[], [], []]
+    for f in np.unique(fdeg):
+        if f < 2:
+            continue
+        verts = np.flatnonzero(fdeg == f)
+        block = fidx[fptr[verts][:, None] + np.arange(f)[None, :]]
+        ii, jj = np.triu_indices(int(f), 1)
+        a = block[:, ii].reshape(-1)
+        b = block[:, jj].reshape(-1)
+        probe = np.minimum(a, b) * np.int64(n) + np.maximum(a, b)
+        loc = np.minimum(np.searchsorted(keys, probe), m - 1)
+        hit = keys[loc] == probe
+        t += int(np.count_nonzero(hit))
+        u = np.repeat(verts, ii.size)[hit]
+        for j, x in enumerate((a[hit], b[hit])):
+            pos[j].append(np.searchsorted(
+                keys, np.minimum(u, x) * np.int64(n) + np.maximum(u, x)))
+        pos[2].append(loc[hit])
+    if not pos[0]:
+        return t, (empty, empty, empty)
+    return t, tuple(np.concatenate(p) for p in pos)
+
+
 def _survival_patterns(g: Graph, p: float,
                        weighted: bool = False) -> tuple[np.ndarray, np.ndarray]:
     """Probability of each of the 2^m edge-survival patterns, and the

@@ -37,6 +37,22 @@ class TestCheckConditions:
         rep = check_conditions(n=100, t=10.0, delta_max=4.0, p=0.5, gamma=1.0)
         assert rep.regime == DELTA_DOMINANT
 
+    @pytest.mark.parametrize("exponent", range(2, 193))
+    def test_exact_tie_rounds_to_delta_dominant(self, exponent):
+        # t = n^1.6, delta = n, p = n^-1/2 is an exact tie, yet the float
+        # product p^2 * delta reads 0.9999999999999998 at n = 10^3 and at
+        # 55 more of these n; t = n^1.6 overflows past n = 10^192
+        n = 10**exponent
+        rep = check_conditions(n, float(n) ** 1.6, float(n), float(n) ** -0.5)
+        assert rep.regime == DELTA_DOMINANT
+
+    @pytest.mark.parametrize("exponent", [2, 3, 11, 170])
+    def test_just_below_the_tie_is_triangle_dominant(self, exponent):
+        n = 10**exponent
+        rep = check_conditions(n, float(n) ** 1.6, float(n) * (1 - 1e-12),
+                               float(n) ** -0.5)
+        assert rep.regime == TRIANGLE_DOMINANT
+
     def test_triangle_regime_below_boundary(self):
         rep = check_conditions(n=100, t=10.0, delta_max=3.0, p=0.5, gamma=1.0)
         assert rep.regime == TRIANGLE_DOMINANT

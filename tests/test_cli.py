@@ -232,6 +232,31 @@ class TestBench:
         assert "exact_node" in out and "doulion" in out
 
 
+def _without_timings(payload):
+    """Report records and p* with every wall-clock field dropped."""
+    return ([{k: v for k, v in rec.items() if k != "timings"} for rec in payload["records"]],
+            payload["summary"].get("p_star"))
+
+
+class TestThreadIndependence:
+    @pytest.mark.parametrize("argv", [
+        ["estimate", "--p", "0.4", "--seed", "11", "--runs", "4"],
+        ["bench", "--seed", "0", "--baseline-r", "2000"],
+    ], ids=["estimate", "bench"])
+    def test_same_estimates_under_1_and_4_threads(self, tmp_path, argv):
+        path = _gen(tmp_path, "gnp:400:0.3", seed=2)
+        payloads = []
+        for threads in ("1", "4"):
+            report = tmp_path / f"r{threads}.json"
+            assert main([argv[0], str(path), *argv[1:], "--threads", threads,
+                         "--json", str(report)]) == 0
+            payloads.append(_without_timings(load_json_report(report)))
+        assert payloads[0] == payloads[1]
+        records = payloads[0][0]
+        # sampled records, not only exact ones, are compared
+        assert any(rec["method"] == "doulion" and rec["ratio"] != 1.0 for rec in records)
+
+
 class TestArgumentErrors:
     def test_unknown_subcommand_exits_nonzero(self):
         with pytest.raises(SystemExit) as exc:

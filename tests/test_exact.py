@@ -1,11 +1,12 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from oracles import (
     census_by_enumeration,
     edge_triangle_counts,
+    searchsorted_node_scan,
     subgraph_without_edge,
 )
 from trisparse import (
@@ -17,11 +18,15 @@ from trisparse import (
     count_edge_iterator,
     count_node_iterator,
     count_triangles,
+    count_weighted_triangles,
+    exact,
     gnp,
     transitivity,
+    triangle_edge_positions,
     triple_census,
     weighted_book,
 )
+from trisparse.sparsify import PRODUCT_CONVENTION, SUM_CONVENTION
 
 TRIANGLE = Graph.build(3, [0, 0, 1], [1, 2, 2])
 PATH3 = Graph.build(3, [0, 1], [1, 2])
@@ -177,3 +182,87 @@ class TestStructuralProperties:
             assert count_node_iterator(g).t == 0
             assert count_edge_iterator(g).t == 0
             assert count_triangles(g) == 0
+
+
+def _slots(g: Graph) -> int:
+    return exact._slot_table(g.edge_keys, g.n)[0].size
+
+
+def _assert_kernel_matches_references(g: Graph, core: Graph | None = None) -> None:
+    """The screened kernel against the searchsorted-only scan it replaced
+    (same t, same triangle order), the edge iterator and brute force, run
+    on ``core`` when g is ``core`` with its vertices relabelled."""
+    want_t, want_pos = searchsorted_node_scan(g)
+    t, pos = triangle_edge_positions(g)
+    assert t == want_t == count_brute_force(g if core is None else core)
+    for got, want in zip(pos, want_pos):
+        np.testing.assert_array_equal(got, want)
+    assert count_triangles(g) == t
+    node = count_node_iterator(g, edge_deltas=True)
+    edge = count_edge_iterator(g, edge_deltas=True)
+    assert (node.t, node.delta_max) == (edge.t, edge.delta_max)
+    assert node.delta_per_edge == edge.delta_per_edge
+    # a float sum depends on its order, so equal totals need equal order
+    w = np.random.default_rng(g.m).uniform(0.1, 10.0, g.m)
+    wg = Graph.build(g.n, g.edge_u, g.edge_v, weights=w)
+    pa, pb, pc = want_pos
+    assert count_weighted_triangles(wg, PRODUCT_CONVENTION) == float(np.sum(w[pa] * w[pb] * w[pc]))
+    assert count_weighted_triangles(wg, SUM_CONVENTION) == float(np.sum(w[pa] + w[pb] + w[pc]))
+
+
+@st.composite
+def _edge_lists(draw):
+    """A random edge list on k <= 40 vertices, relabelled to distinct ids
+    in [0, n) for n up to 5000: n^2 far above 8m, so most slots alias."""
+    k = draw(st.integers(3, 40))
+    pairs = draw(st.lists(st.tuples(st.integers(0, k - 1), st.integers(0, k - 1)),
+                          max_size=4 * k))
+    n = draw(st.integers(k, 5000))
+    ids = np.array(draw(st.lists(st.integers(0, n - 1), min_size=k, max_size=k, unique=True)))
+    us = [u for u, _ in pairs]
+    vs = [v for _, v in pairs]
+    return Graph.build(n, ids[us], ids[vs]), Graph.build(k, us, vs)
+
+
+def _star(leaves: int) -> Graph:
+    return Graph.build(leaves + 1, [0] * leaves, list(range(1, leaves + 1)))
+
+
+def _with_isolated(g: Graph, shift: int, extra: int) -> Graph:
+    return Graph.build(g.n + shift + extra, g.edge_u + shift, g.edge_v + shift)
+
+
+class TestScreenedKernel:
+    @given(graphs=_edge_lists())
+    @settings(max_examples=80, deadline=None)
+    def test_aliased_slot_table(self, graphs):
+        # n^2 > slots: distinct keys can share a slot, so the screen passes
+        # non-edges and the binary search must reject them
+        g, core = graphs
+        assume(_slots(g) < g.n * g.n)
+        _assert_kernel_matches_references(g, core)
+
+    @given(n=st.integers(3, 30), q=st.floats(0.3, 1.0), seed=st.integers(0, 10**6))
+    @settings(max_examples=60, deadline=None)
+    def test_exact_slot_table(self, n, q, seed):
+        g = gnp(n, q, seed)
+        assume(_slots(g) >= n * n)
+        _assert_kernel_matches_references(g)
+
+    @pytest.mark.parametrize("g", [
+        _star(30), book(40), complete(9), complete(3),
+        Graph.build(0, [], []), Graph.build(5, [], []),
+        _with_isolated(complete(5), 7, 9), _with_isolated(book(6), 3, 20),
+    ], ids=["star", "book", "complete9", "triangle", "null", "empty",
+            "complete-isolated", "book-isolated"])
+    def test_shapes(self, g):
+        _assert_kernel_matches_references(g)
+
+    @pytest.mark.parametrize("g", [gnp(60, 0.3, 5), complete(12), book(40)],
+                             ids=["gnp", "complete", "book"])
+    def test_classes_over_the_wedge_chunk(self, g, monkeypatch):
+        monkeypatch.setattr(exact, "WEDGE_CHUNK", 3)
+        fdeg = exact._forward_structure(g)[1]
+        per_class = np.bincount(fdeg) * np.array([f * (f - 1) // 2 for f in range(fdeg.max() + 1)])
+        assert per_class.max() > exact.WEDGE_CHUNK
+        _assert_kernel_matches_references(g)
