@@ -14,7 +14,7 @@ from time import perf_counter
 import numpy as np
 
 from .graph import Graph
-from .sparsify import SparsifyParams, estimate_triangles
+from .sparsify import Estimate, SparsifyParams, estimate_triangles
 
 # Base of the logarithm in the (log n)^(6+gamma) thresholds; shared with
 # the sampling-budget formulas in baselines.
@@ -232,15 +232,22 @@ def default_p0(n: int, p_floor: float = DEFAULT_P_FLOOR) -> float:
     return min(max(1.0 / math.sqrt(n), p_floor), 1.0)
 
 
-def _run_batch(g: Graph, p: float, batch_index: int, trials: int,
-               threshold: float, counter: str, seed: int, threads: int) -> Batch:
+def run_trials(g: Graph, p: float, seed: int, batch_index: int, trials: int,
+               counter: str = "node", threads: int = 1) -> list[Estimate]:
+    """Sparsify-and-count ``trials`` times at rate p; trial j uses seed
+    ``trial_seed(seed, batch_index, j)``. Results come back in trial
+    order, whatever the thread count."""
     params = [SparsifyParams(p=p, seed=trial_seed(seed, batch_index, j))
               for j in range(trials)]
     if threads > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(lambda pr: estimate_triangles(g, pr, counter), params))
-    else:
-        results = [estimate_triangles(g, pr, counter) for pr in params]
+            return list(pool.map(lambda pr: estimate_triangles(g, pr, counter), params))
+    return [estimate_triangles(g, pr, counter) for pr in params]
+
+
+def _run_batch(g: Graph, p: float, batch_index: int, trials: int,
+               threshold: float, counter: str, seed: int, threads: int) -> Batch:
+    results = run_trials(g, p, seed, batch_index, trials, counter, threads)
     estimates = tuple(r.estimate for r in results)
     spread = batch_spread(estimates)
     if p >= 1.0:

@@ -29,6 +29,13 @@ class SpeedupSummary:
     xfaster1: float
     xfaster2: float
 
+    @classmethod
+    def measure(cls, exact_time: float, count_time: float, total_time: float) -> "SpeedupSummary":
+        """exact_time over count_time and over total_time; a time of 0 gives inf."""
+        def over(t: float) -> float:
+            return exact_time / t if t > 0 else float("inf")
+        return cls(xfaster1=over(count_time), xfaster2=over(total_time))
+
     def to_dict(self) -> dict:
         return {"xfaster1": self.xfaster1, "xfaster2": self.xfaster2}
 

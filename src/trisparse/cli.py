@@ -7,7 +7,6 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 from time import perf_counter
 
@@ -16,14 +15,8 @@ from . import baselines as bl
 from . import bench
 from . import exact
 from . import generators
-from .graph import EdgeListFormatError, Graph, load_edge_list, stats, write_edge_list
-from .sparsify import (
-    TRIANGLE_VALUE_CONVENTION,
-    SparsifyParams,
-    count_weighted_triangles,
-    estimate_triangles,
-    sparsify,
-)
+from .graph import Graph, load_edge_list, stats, write_edge_list
+from .sparsify import TRIANGLE_VALUE_CONVENTION, count_weighted_triangles, sparsify
 
 
 def _graph_info(graph_id: str, g: Graph, load_time: float | None = None) -> dict:
@@ -33,16 +26,42 @@ def _graph_info(graph_id: str, g: Graph, load_time: float | None = None) -> dict
     return info
 
 
-def _load(path: str, weighted: bool = False) -> tuple[Graph, float]:
+def _timed(fn, *args, **kwargs):
+    """fn's result and its wall time in seconds."""
     start = perf_counter()
-    g = load_edge_list(path, weighted=weighted)
-    return g, perf_counter() - start
+    result = fn(*args, **kwargs)
+    return result, perf_counter() - start
 
 
-def _emit(args, payload: dict) -> None:
+def _load(args, weighted: bool = False) -> tuple[Graph, dict]:
+    """The graph at ``args.graph`` and its report entry, load time included."""
+    g, load_time = _timed(load_edge_list, args.graph, weighted)
+    return g, _graph_info(Path(args.graph).name, g, load_time)
+
+
+def _record(info: dict, method: str, parameters: dict, estimate, exact_t,
+            sparsify_time: float, count_time: float, total_time: float | None = None,
+            seed: int | None = None) -> bench.ExperimentRecord:
+    """One report row on the graph ``info`` describes; the total time
+    defaults to sparsify + count."""
+    if total_time is None:
+        total_time = sparsify_time + count_time
+    return bench.ExperimentRecord(
+        graph_id=info["id"], method=method, parameters=parameters,
+        estimate=estimate, exact_t=exact_t,
+        timings={"load": info["load_time"], "sparsify": sparsify_time,
+                 "count": count_time, "total": total_time},
+        seed=seed)
+
+
+def _emit(args, graph_info: dict, records: list[bench.ExperimentRecord],
+          summary: dict) -> int:
+    """Write the command's JSON report if one was asked for; exit code 0."""
     if getattr(args, "json", None):
-        bench.write_json_report(args.json, payload)
+        bench.write_json_report(args.json, bench.make_payload(
+            args.command, graph_info, records, summary=summary))
         print(f"json report written to {args.json}")
+    return 0
 
 
 def _print_records(records: list[bench.ExperimentRecord], columns: list[str]) -> None:
@@ -69,31 +88,21 @@ def cmd_gen(args) -> int:
     print(bench.format_table(
         ["model", "n", "m", "max_degree", "isolated", "weighted", "output"],
         [[args.model, st.n, st.m, st.max_degree, st.isolated, g.is_weighted, str(args.output)]]))
-    payload = bench.make_payload("gen", _graph_info(args.model, g),
-                                 records=[], summary={"stats": st.to_dict(),
-                                                      "seed": args.seed,
-                                                      "output": str(args.output)})
-    _emit(args, payload)
-    return 0
+    return _emit(args, _graph_info(args.model, g), [],
+                 {"stats": st.to_dict(), "seed": args.seed, "output": str(args.output)})
 
 
 def cmd_count(args) -> int:
-    g, load_time = _load(args.graph, weighted=args.weighted)
-    graph_id = Path(args.graph).name
+    g, info = _load(args, weighted=args.weighted)
 
     if args.weighted:
-        start = perf_counter()
-        value = count_weighted_triangles(g)
-        count_time = perf_counter() - start
+        value, count_time = _timed(count_weighted_triangles, g)
         print(bench.format_table(
             ["graph", "n", "m", "weighted_triangle_total", "convention", "count_time"],
-            [[graph_id, g.n, g.m, value, TRIANGLE_VALUE_CONVENTION, count_time]]))
-        payload = bench.make_payload("count", _graph_info(graph_id, g, load_time), [],
-                                     summary={"weighted_triangle_total": value,
-                                              "convention": TRIANGLE_VALUE_CONVENTION,
-                                              "count_time": count_time})
-        _emit(args, payload)
-        return 0
+            [[info["id"], g.n, g.m, value, TRIANGLE_VALUE_CONVENTION, count_time]]))
+        return _emit(args, info, [], {"weighted_triangle_total": value,
+                                      "convention": TRIANGLE_VALUE_CONVENTION,
+                                      "count_time": count_time})
 
     start = perf_counter()
     if args.algo == "brute":
@@ -109,9 +118,9 @@ def cmd_count(args) -> int:
 
     summary = {"t": t, "algo": args.algo, "transitivity": trans,
                "delta_max": delta_max, "count_time": count_time,
-               "load_time": load_time}
+               "load_time": info["load_time"]}
     headers = ["graph", "n", "m", "algo", "t", "transitivity", "delta_max", "count_time"]
-    row = [graph_id, g.n, g.m, args.algo, t, trans, delta_max, count_time]
+    row = [info["id"], g.n, g.m, args.algo, t, trans, delta_max, count_time]
     if args.census:
         census = exact.triple_census(g, t=t)
         summary["census"] = census.to_dict()
@@ -120,55 +129,30 @@ def cmd_count(args) -> int:
     if per_edge is not None:
         summary["delta_per_edge"] = {f"{u}-{v}": d for (u, v), d in per_edge.items()}
     print(bench.format_table(headers, [row]))
-    payload = bench.make_payload("count", _graph_info(graph_id, g, load_time), [],
-                                 summary=summary)
-    _emit(args, payload)
-    return 0
+    return _emit(args, info, [], summary)
 
 
 def cmd_estimate(args) -> int:
     if args.runs < 1:
         raise ValueError(f"--runs must be at least 1, got {args.runs}")
-    g, load_time = _load(args.graph)
-    graph_id = Path(args.graph).name
+    g, info = _load(args)
+    exact_t, exact_time = _timed(exact.count_triangles, g, args.counter)
 
-    start = perf_counter()
-    exact_t = exact.count_triangles(g, method=args.counter)
-    exact_time = perf_counter() - start
-
-    run_params = [SparsifyParams(p=args.p, seed=ad.trial_seed(args.seed, 0, k))
-                  for k in range(args.runs)]
-    if args.threads > 1:
-        with ThreadPoolExecutor(max_workers=args.threads) as pool:
-            results = list(pool.map(
-                lambda pr: estimate_triangles(g, pr, counter=args.counter), run_params))
-    else:
-        results = [estimate_triangles(g, pr, counter=args.counter) for pr in run_params]
-
-    records = []
-    estimates = []
-    count_times = []
-    for est in results:
-        estimates.append(est.estimate)
-        count_times.append(est.count_time)
-        records.append(bench.ExperimentRecord(
-            graph_id=graph_id, method="doulion",
-            parameters={"p": args.p, "counter": args.counter,
-                        "surviving_edges": est.surviving_edges,
-                        "t_prime": est.t_prime},
-            estimate=est.estimate, exact_t=exact_t,
-            timings={"load": load_time, "sparsify": est.sparsify_time,
-                     "count": est.count_time,
-                     "total": est.sparsify_time + est.count_time},
-            seed=est.params.seed))
+    trials = ad.run_trials(g, args.p, args.seed, 0, args.runs, args.counter, args.threads)
+    records = [_record(info, "doulion",
+                       {"p": args.p, "counter": args.counter,
+                        "surviving_edges": est.surviving_edges, "t_prime": est.t_prime},
+                       est.estimate, exact_t, est.sparsify_time, est.count_time,
+                       seed=est.params.seed)
+               for est in trials]
     if args.save_sparsified:
-        write_edge_list(args.save_sparsified, sparsify(g, run_params[0]))
+        write_edge_list(args.save_sparsified, sparsify(g, trials[0].params))
 
+    estimates = [est.estimate for est in trials]
     mean_est = sum(estimates) / len(estimates)
-    mean_count = sum(count_times) / len(count_times)
-    speedups = bench.SpeedupSummary(
-        xfaster1=exact_time / mean_count if mean_count > 0 else float("inf"),
-        xfaster2=exact_time / sum(r.timings["total"] for r in records))
+    speedups = bench.SpeedupSummary.measure(
+        exact_time, sum(est.count_time for est in trials) / len(trials),
+        sum(r.timings["total"] for r in records))
     summary = {
         "p": args.p,
         "master_seed": args.seed,
@@ -186,22 +170,14 @@ def cmd_estimate(args) -> int:
         ["exact_t", "mean_estimate", "mean_ratio", "spread", "xfaster1", "expected_speedup"],
         [[exact_t, mean_est, summary["mean_ratio"], summary["spread"],
           speedups.xfaster1, summary["expected_speedup"]]]))
-    payload = bench.make_payload("estimate", _graph_info(graph_id, g, load_time),
-                                 records, summary=summary)
-    _emit(args, payload)
-    return 0
+    return _emit(args, info, records, summary)
 
 
 def cmd_adaptive(args) -> int:
-    g, load_time = _load(args.graph)
-    graph_id = Path(args.graph).name
-
-    exact_t = None
-    exact_time = None
+    g, info = _load(args)
+    exact_t = exact_time = None
     if not args.skip_exact:
-        start = perf_counter()
-        exact_t = exact.count_triangles(g, method=args.counter)
-        exact_time = perf_counter() - start
+        exact_t, exact_time = _timed(exact.count_triangles, g, args.counter)
 
     report = ad.doubling_search(g, p0=args.p0, trials_per_p=args.runs,
                                 spread_threshold=args.threshold,
@@ -213,38 +189,27 @@ def cmd_adaptive(args) -> int:
         [[b.p, len(b.estimates), sum(b.estimates) / len(b.estimates), b.spread,
           b.concentrated, b.sparsify_time, b.count_time] for b in report.trace]))
 
-    record = bench.ExperimentRecord(
-        graph_id=graph_id, method="adaptive",
-        parameters={"p0": report.p0, "p_star": report.p_star,
-                    "trials_per_p": report.trials_per_p,
-                    "spread_threshold": report.spread_threshold,
-                    "counter": report.counter},
-        estimate=report.final_estimate, exact_t=exact_t,
-        timings={"load": load_time,
-                 "sparsify": report.total_sparsify_time,
-                 "count": report.total_count_time,
-                 "total": report.total_time},
-        seed=args.seed)
+    record = _record(info, "adaptive",
+                     {"p0": report.p0, "p_star": report.p_star,
+                      "trials_per_p": report.trials_per_p,
+                      "spread_threshold": report.spread_threshold,
+                      "counter": report.counter},
+                     report.final_estimate, exact_t, report.total_sparsify_time,
+                     report.total_count_time, report.total_time, args.seed)
     summary = {"adaptive": report.to_dict(),
                "exact_t": exact_t, "exact_time": exact_time,
                "expected_speedup": bench.expected_speedup(report.p_star)}
     if exact_time is not None:
         star = report.trace[-1]
-        mean_count = star.count_time / len(star.estimates)
-        speedups = bench.SpeedupSummary(
-            xfaster1=exact_time / mean_count if mean_count > 0 else float("inf"),
-            xfaster2=exact_time / report.total_time if report.total_time > 0 else float("inf"))
-        summary["speedups"] = speedups.to_dict()
+        summary["speedups"] = bench.SpeedupSummary.measure(
+            exact_time, star.count_time / len(star.estimates), report.total_time).to_dict()
     print(bench.format_table(
         ["p_star", "final_estimate", "ratio", "total_trials", "total_time", "xfaster1", "xfaster2"],
         [[report.p_star, report.final_estimate, record.ratio, report.total_trials,
           report.total_time,
           summary.get("speedups", {}).get("xfaster1"),
           summary.get("speedups", {}).get("xfaster2")]]))
-    payload = bench.make_payload("adaptive", _graph_info(graph_id, g, load_time),
-                                 [record], summary=summary)
-    _emit(args, payload)
-    return 0
+    return _emit(args, info, [record], summary)
 
 
 def cmd_baseline(args) -> int:
@@ -255,12 +220,8 @@ def cmd_baseline(args) -> int:
         print("error: --epsilon requires --delta", file=sys.stderr)
         return 2
 
-    g, load_time = _load(args.graph)
-    graph_id = Path(args.graph).name
-
-    start = perf_counter()
-    exact_t = exact.count_triangles(g)
-    exact_time = perf_counter() - start
+    g, info = _load(args)
+    exact_t, exact_time = _timed(exact.count_triangles, g)
     census = exact.triple_census(g, t=exact_t)
 
     budget = None
@@ -275,85 +236,45 @@ def cmd_baseline(args) -> int:
                 [[args.method, args.epsilon, args.delta, r, args.max_r, False]]))
             print(f"required sample size {r} exceeds --max-r {args.max_r}; not running "
                   "(the budget itself is the finding: triple sampling is impractical here)")
-            payload = bench.make_payload(
-                "baseline", _graph_info(graph_id, g, load_time), [],
-                summary={"method": args.method, "budget": budget.to_dict(),
-                         "census": census.to_dict(), "exact_t": exact_t, "ran": False})
-            _emit(args, payload)
-            return 0
+            return _emit(args, info, [],
+                         {"method": args.method, "budget": budget.to_dict(),
+                          "census": census.to_dict(), "exact_t": exact_t, "ran": False})
 
     sampler = bl.naive_sample if args.method == "naive" else bl.buriol_sample
-    start = perf_counter()
-    estimate = sampler(g, r, seed=args.seed)
-    sample_time = perf_counter() - start
-
-    record = bench.ExperimentRecord(
-        graph_id=graph_id, method=args.method,
-        parameters={"r": r, "epsilon": args.epsilon, "delta": args.delta},
-        estimate=estimate, exact_t=exact_t,
-        timings={"load": load_time, "sparsify": 0.0, "count": sample_time,
-                 "total": sample_time},
-        seed=args.seed)
+    estimate, sample_time = _timed(sampler, g, r, seed=args.seed)
+    record = _record(info, args.method, {"r": r, "epsilon": args.epsilon, "delta": args.delta},
+                     estimate, exact_t, 0.0, sample_time, seed=args.seed)
     summary = {"method": args.method, "r": r, "exact_t": exact_t,
                "exact_time": exact_time, "census": census.to_dict(), "ran": True}
     if budget is not None:
         summary["budget"] = budget.to_dict()
     _print_records([record], ["r", "estimate", "ratio", "count"])
-    payload = bench.make_payload("baseline", _graph_info(graph_id, g, load_time),
-                                 [record], summary=summary)
-    _emit(args, payload)
-    return 0
+    return _emit(args, info, [record], summary)
 
 
 def cmd_bench(args) -> int:
-    g, load_time = _load(args.graph)
-    graph_id = Path(args.graph).name
-    records: list[bench.ExperimentRecord] = []
-
-    start = perf_counter()
-    node_stats = exact.count_node_iterator(g)
-    node_time = perf_counter() - start
+    g, info = _load(args)
+    node_stats, node_time = _timed(exact.count_node_iterator, g)
     exact_t = node_stats.t
-    records.append(bench.ExperimentRecord(
-        graph_id=graph_id, method="exact_node",
-        parameters={"delta_max": node_stats.delta_max,
-                    "transitivity": node_stats.transitivity},
-        estimate=float(exact_t), exact_t=exact_t,
-        timings={"load": load_time, "sparsify": 0.0, "count": node_time,
-                 "total": node_time}))
-
-    start = perf_counter()
-    edge_stats = exact.count_edge_iterator(g)
-    edge_time = perf_counter() - start
-    records.append(bench.ExperimentRecord(
-        graph_id=graph_id, method="exact_edge",
-        parameters={}, estimate=float(edge_stats.t), exact_t=exact_t,
-        timings={"load": load_time, "sparsify": 0.0, "count": edge_time,
-                 "total": edge_time}))
-
+    edge_stats, edge_time = _timed(exact.count_edge_iterator, g)
     report = ad.doubling_search(g, seed=args.seed, threads=args.threads)
-    records.append(bench.ExperimentRecord(
-        graph_id=graph_id, method="adaptive",
-        parameters={"p0": report.p0, "p_star": report.p_star,
-                    "trials_per_p": report.trials_per_p},
-        estimate=report.final_estimate, exact_t=exact_t,
-        timings={"load": load_time, "sparsify": report.total_sparsify_time,
-                 "count": report.total_count_time, "total": report.total_time},
-        seed=args.seed))
+    trials = ad.run_trials(g, report.p_star, args.seed, 10_000, report.trials_per_p,
+                           threads=args.threads)
 
-    doulion_counts = []
-    for k in range(report.trials_per_p):
-        params = SparsifyParams(p=report.p_star, seed=ad.trial_seed(args.seed, 10_000, k))
-        est = estimate_triangles(g, params)
-        doulion_counts.append(est.count_time)
-        records.append(bench.ExperimentRecord(
-            graph_id=graph_id, method="doulion",
-            parameters={"p": report.p_star, "t_prime": est.t_prime},
-            estimate=est.estimate, exact_t=exact_t,
-            timings={"load": load_time, "sparsify": est.sparsify_time,
-                     "count": est.count_time,
-                     "total": est.sparsify_time + est.count_time},
-            seed=est.params.seed))
+    records = [
+        _record(info, "exact_node", {"delta_max": node_stats.delta_max,
+                                     "transitivity": node_stats.transitivity},
+                float(exact_t), exact_t, 0.0, node_time),
+        _record(info, "exact_edge", {}, float(edge_stats.t), exact_t, 0.0, edge_time),
+        _record(info, "adaptive", {"p0": report.p0, "p_star": report.p_star,
+                                   "trials_per_p": report.trials_per_p},
+                report.final_estimate, exact_t, report.total_sparsify_time,
+                report.total_count_time, report.total_time, args.seed),
+    ]
+    records += [_record(info, "doulion", {"p": report.p_star, "t_prime": est.t_prime},
+                        est.estimate, exact_t, est.sparsify_time, est.count_time,
+                        seed=est.params.seed)
+                for est in trials]
 
     census = exact.triple_census(g, t=exact_t)
     budgets = {}
@@ -367,23 +288,16 @@ def cmd_bench(args) -> int:
             budgets[method] = None
             r = args.baseline_r
         try:
-            start = perf_counter()
-            estimate = sampler(g, r, seed=args.seed)
-            sample_time = perf_counter() - start
+            estimate, sample_time = _timed(sampler, g, r, seed=args.seed)
         except ValueError:
             continue
-        records.append(bench.ExperimentRecord(
-            graph_id=graph_id, method=method,
-            parameters={"r": r, "epsilon": args.epsilon, "delta": args.delta},
-            estimate=estimate, exact_t=exact_t,
-            timings={"load": load_time, "sparsify": 0.0, "count": sample_time,
-                     "total": sample_time},
-            seed=args.seed))
+        records.append(_record(info, method,
+                               {"r": r, "epsilon": args.epsilon, "delta": args.delta},
+                               estimate, exact_t, 0.0, sample_time, seed=args.seed))
 
-    mean_star_count = report.trace[-1].count_time / len(report.trace[-1].estimates)
-    speedups = bench.SpeedupSummary(
-        xfaster1=node_time / mean_star_count if mean_star_count > 0 else float("inf"),
-        xfaster2=node_time / report.total_time if report.total_time > 0 else float("inf"))
+    star = report.trace[-1]
+    speedups = bench.SpeedupSummary.measure(
+        node_time, star.count_time / len(star.estimates), report.total_time)
     summary = {
         "exact_t": exact_t,
         "p_star": report.p_star,
@@ -396,10 +310,7 @@ def cmd_bench(args) -> int:
     print(bench.format_table(
         ["p_star", "expected_speedup", "xfaster1", "xfaster2"],
         [[report.p_star, summary["expected_speedup"], speedups.xfaster1, speedups.xfaster2]]))
-    payload = bench.make_payload("bench", _graph_info(graph_id, g, load_time),
-                                 records, summary=summary)
-    _emit(args, payload)
-    return 0
+    return _emit(args, info, records, summary)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -470,7 +381,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("bench", help="full comparison: exact counters, adaptive search, baselines")
     p.add_argument("graph")
-    p.add_argument("--full", action="store_true", help="accepted for explicitness; bench always runs the full suite")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--threads", type=int, default=os.cpu_count() or 1)
     p.add_argument("--epsilon", type=float, default=0.1)
@@ -488,10 +398,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except (EdgeListFormatError, ValueError) as exc:
+    except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
@@ -10,6 +11,8 @@ import numpy as np
 
 # u*n+v edge keys must fit in int64
 _MAX_VERTICES = 3_037_000_499
+# original vertex ids are kept as int64 labels
+_MIN_ID, _MAX_ID = -2**63, 2**63 - 1
 
 
 class EdgeListFormatError(ValueError):
@@ -195,8 +198,8 @@ def load_edge_list(path, weighted: bool = False) -> Graph:
     wins), and vertex ids are compacted to 0..n-1 in first-appearance
     order; the original ids are kept as ``labels``. In unweighted mode
     any tokens after the two vertex ids are ignored; in weighted mode a
-    third token is read as a positive edge weight (defaults to 1.0 when
-    absent).
+    third token is read as a positive, finite edge weight (defaults to 1.0
+    when absent). Vertex ids must fit in int64.
     """
     path = Path(path)
     compact: dict[int, int] = {}
@@ -228,11 +231,13 @@ def load_edge_list(path, weighted: bool = False) -> Graph:
                 except ValueError:
                     raise EdgeListFormatError(
                         path, line_no, f"weight must be numeric, got {tokens[2]!r}") from None
-                if not w > 0:
+                if not 0.0 < w < math.inf:
                     raise EdgeListFormatError(
-                        path, line_no, f"edge weight must be positive, got {w}")
+                        path, line_no, f"edge weight must be positive and finite, got {tokens[2]!r}")
             for x in (u, v):
                 if x not in compact:
+                    if not _MIN_ID <= x <= _MAX_ID:
+                        raise EdgeListFormatError(path, line_no, f"vertex id {x} does not fit in int64")
                     compact[x] = len(labels)
                     labels.append(x)
             us.append(compact[u])

@@ -20,7 +20,12 @@ from trisparse import (
     recommend_p,
     trial_seed,
 )
-from trisparse.adaptive import DELTA_DOMINANT, TRIANGLE_DOMINANT, recommendation_grid
+from trisparse.adaptive import (
+    DELTA_DOMINANT,
+    TRIANGLE_DOMINANT,
+    recommendation_grid,
+    run_trials,
+)
 
 
 class TestCheckConditions:
@@ -262,3 +267,23 @@ class TestDoublingSearch:
         x = vals - vals.mean()
         r = float(np.sum(x[:-1] * x[1:]) / np.sum(x * x))
         assert abs(r) < 2.58 / math.sqrt(200)
+
+
+class TestRunTrials:
+    def test_thread_count_does_not_change_results_or_order(self):
+        g = gnp(300, 0.1, 5)
+        one = run_trials(g, 0.3, 17, 2, 8, threads=1)
+        four = run_trials(g, 0.3, 17, 2, 8, threads=4)
+        assert [e.params.seed for e in one] == [trial_seed(17, 2, j) for j in range(8)]
+        assert [(e.params, e.estimate, e.t_prime) for e in one] == \
+            [(e.params, e.estimate, e.t_prime) for e in four]
+        assert len({e.estimate for e in one}) > 1
+
+    @pytest.mark.parametrize("counter", ["node", "edge"])
+    def test_each_trial_is_a_direct_estimate(self, counter):
+        g = gnp(200, 0.15, 9)
+        trials = run_trials(g, 0.4, 3, 7, 5, counter=counter)
+        for j, est in enumerate(trials):
+            direct = estimate_triangles(g, SparsifyParams(0.4, trial_seed(3, 7, j)), counter)
+            assert (est.params, est.surviving_edges, est.t_prime, est.estimate) == \
+                (direct.params, direct.surviving_edges, direct.t_prime, direct.estimate)

@@ -1,4 +1,5 @@
 import json
+import math
 
 import pytest
 
@@ -66,6 +67,10 @@ class TestReports:
         s = SpeedupSummary(xfaster1=100.0, xfaster2=10.0)
         assert s.to_dict() == {"xfaster1": 100.0, "xfaster2": 10.0}
         assert s.xfaster2 <= s.xfaster1
+
+    def test_speedup_measure(self):
+        assert SpeedupSummary.measure(6.0, 0.5, 2.0) == SpeedupSummary(12.0, 3.0)
+        assert SpeedupSummary.measure(6.0, 0.0, 0.0) == SpeedupSummary(math.inf, math.inf)
 
 
 class TestFormatTable:

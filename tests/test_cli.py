@@ -3,6 +3,7 @@ import json
 import pytest
 
 from trisparse import load_edge_list
+from trisparse.adaptive import trial_seed
 from trisparse.bench import load_json_report
 from trisparse.cli import main
 
@@ -218,7 +219,7 @@ class TestBench:
         path = _gen(tmp_path, "gnp:150:0.15", seed=9)
         capsys.readouterr()
         report = tmp_path / "r.json"
-        assert main(["bench", str(path), "--full", "--seed", "0",
+        assert main(["bench", str(path), "--seed", "0",
                      "--threads", "1", "--baseline-r", "5000",
                      "--json", str(report)]) == 0
         payload = load_json_report(report)
@@ -255,6 +256,20 @@ class TestThreadIndependence:
         records = payloads[0][0]
         # sampled records, not only exact ones, are compared
         assert any(rec["method"] == "doulion" and rec["ratio"] != 1.0 for rec in records)
+
+
+class TestTrialSeeds:
+    def test_estimate_and_bench_doulion_seeds(self, tmp_path):
+        path = _gen(tmp_path, "gnp:150:0.15", seed=9)
+        for argv, batch in ((["estimate", "--p", "0.5", "--runs", "3"], 0),
+                            (["bench", "--baseline-r", "500"], 10_000)):
+            report = tmp_path / f"{argv[0]}.json"
+            assert main([argv[0], str(path), *argv[1:], "--seed", "21", "--threads", "2",
+                         "--json", str(report)]) == 0
+            seeds = [r["seed"] for r in load_json_report(report)["records"]
+                     if r["method"] == "doulion"]
+            assert len(seeds) >= 3
+            assert seeds == [trial_seed(21, batch, k) for k in range(len(seeds))]
 
 
 class TestArgumentErrors:

@@ -71,6 +71,22 @@ class TestLoadEdgeList:
         with pytest.raises(EdgeListFormatError):
             load_edge_list(_write(tmp_path, "0 1 0.0\n"), weighted=True)
 
+    @pytest.mark.parametrize("token", ["inf", "1e400", "nan"])
+    def test_non_finite_weight_reports_line_number(self, tmp_path, token):
+        with pytest.raises(EdgeListFormatError) as exc:
+            load_edge_list(_write(tmp_path, f"0 1 2.0\n# c\n1 2 {token}\n"), weighted=True)
+        assert exc.value.line_no == 3
+
+    @pytest.mark.parametrize("u", ["99999999999999999999", str(2**63), str(-2**63 - 1)])
+    def test_id_outside_int64_reports_line_number(self, tmp_path, u):
+        with pytest.raises(EdgeListFormatError) as exc:
+            load_edge_list(_write(tmp_path, f"0 1\n1 2\n{u} 1\n"))
+        assert exc.value.line_no == 3
+
+    def test_int64_extreme_ids_load(self, tmp_path):
+        g = load_edge_list(_write(tmp_path, f"{2**63 - 1} {-2**63}\n"))
+        assert g.labels.tolist() == [2**63 - 1, -2**63]
+
     def test_duplicate_weighted_edges_keep_first(self, tmp_path):
         g = load_edge_list(_write(tmp_path, "0 1 5.0\n1 0 9.0\n"), weighted=True)
         assert g.m == 1
