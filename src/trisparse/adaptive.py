@@ -16,10 +16,6 @@ import numpy as np
 from .graph import Graph
 from .sparsify import Estimate, SparsifyParams, estimate_triangles
 
-# Base of the logarithm in the (log n)^(6+gamma) thresholds; shared with
-# the sampling-budget formulas in baselines.
-LOG_BASE = math.e
-
 DELTA_DOMINANT = "delta_dominant"
 TRIANGLE_DOMINANT = "triangle_dominant"
 
@@ -33,10 +29,6 @@ DEFAULT_SPREAD_THRESHOLD = 0.1
 # delta_max = n it can land an ulp or two below 1, so values this close
 # to 1 count as the tie
 _TIE_TOLERANCE = 4 * sys.float_info.epsilon
-
-
-def _log(x: float) -> float:
-    return math.log(x) / math.log(LOG_BASE)
 
 
 @dataclass(frozen=True)
@@ -60,20 +52,6 @@ class ConditionReport:
     satisfied: bool
     degenerate: bool
 
-    def to_dict(self) -> dict:
-        return {
-            "n": self.n,
-            "t": self.t,
-            "delta_max": self.delta_max,
-            "p": self.p,
-            "gamma": self.gamma,
-            "regime": self.regime,
-            "lhs": self.lhs,
-            "rhs": self.rhs,
-            "satisfied": self.satisfied,
-            "degenerate": self.degenerate,
-        }
-
 
 def check_conditions(n: int, t: float, delta_max: float, p: float,
                      gamma: float = DEFAULT_GAMMA) -> ConditionReport:
@@ -93,7 +71,7 @@ def check_conditions(n: int, t: float, delta_max: float, p: float,
     if not gamma > 0:
         raise ValueError(f"gamma must be positive, got {gamma}")
 
-    rhs = _log(n) ** (6.0 + gamma)
+    rhs = math.log(n) ** (6.0 + gamma)
     if p * p * delta_max >= 1.0 - _TIE_TOLERANCE:
         regime = DELTA_DOMINANT
         lhs = p * t / delta_max
@@ -134,9 +112,8 @@ def recommend_p(n: int, t_hint: float | None = None, delta_hint: float | None = 
     if delta_hint is not None and not delta_hint > 0:
         raise ValueError(f"delta hint must be positive when given, got {delta_hint}")
 
-    base = 1.0 / math.sqrt(n)
     if t_hint is None or delta_hint is None:
-        return min(max(base, p_floor), 1.0)
+        return default_p0(n, p_floor)
     for p in recommendation_grid(max(n, 3)):
         if check_conditions(max(n, 3), t_hint, delta_hint, p, gamma).satisfied:
             return p
@@ -168,16 +145,6 @@ class Batch:
     sparsify_time: float
     count_time: float
 
-    def to_dict(self) -> dict:
-        return {
-            "p": self.p,
-            "estimates": list(self.estimates),
-            "spread": self.spread,
-            "concentrated": self.concentrated,
-            "sparsify_time": self.sparsify_time,
-            "count_time": self.count_time,
-        }
-
 
 @dataclass(frozen=True)
 class AdaptiveReport:
@@ -202,22 +169,6 @@ class AdaptiveReport:
     total_sparsify_time: float
     total_count_time: float
 
-    def to_dict(self) -> dict:
-        return {
-            "trace": [b.to_dict() for b in self.trace],
-            "p_star": self.p_star,
-            "final_estimate": self.final_estimate,
-            "p0": self.p0,
-            "trials_per_p": self.trials_per_p,
-            "spread_threshold": self.spread_threshold,
-            "counter": self.counter,
-            "seed": self.seed,
-            "total_trials": self.total_trials,
-            "total_time": self.total_time,
-            "total_sparsify_time": self.total_sparsify_time,
-            "total_count_time": self.total_count_time,
-        }
-
 
 def trial_seed(master_seed: int, batch_index: int, trial_index: int) -> int:
     """Deterministic per-trial seed; every trial owns its own stream."""
@@ -234,15 +185,16 @@ def default_p0(n: int, p_floor: float = DEFAULT_P_FLOOR) -> float:
 
 def run_trials(g: Graph, p: float, seed: int, batch_index: int, trials: int,
                counter: str = "node", threads: int = 1) -> list[Estimate]:
-    """Sparsify-and-count ``trials`` times at rate p; trial j uses seed
+    """Sparsify-and-count ``trials`` times at rate p on a pool of
+    ``threads`` (at least 1) workers; trial j uses seed
     ``trial_seed(seed, batch_index, j)``. Results come back in trial
     order, whatever the thread count."""
+    if threads < 1:
+        raise ValueError(f"thread count must be at least 1, got {threads}")
     params = [SparsifyParams(p=p, seed=trial_seed(seed, batch_index, j))
               for j in range(trials)]
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            return list(pool.map(lambda pr: estimate_triangles(g, pr, counter), params))
-    return [estimate_triangles(g, pr, counter) for pr in params]
+    with ThreadPoolExecutor(max_workers=threads) as pool:
+        return list(pool.map(lambda pr: estimate_triangles(g, pr, counter), params))
 
 
 def _run_batch(g: Graph, p: float, batch_index: int, trials: int,

@@ -8,7 +8,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .adaptive import _log
 from .exact import TripleCensus
 from .graph import Graph
 
@@ -21,9 +20,6 @@ class SampleBudget:
     epsilon: float
     delta: float
     r: int
-
-    def to_dict(self) -> dict:
-        return {"epsilon": self.epsilon, "delta": self.delta, "r": self.r}
 
 
 def _validate_budget_args(census: TripleCensus, epsilon: float, delta: float) -> None:
@@ -44,7 +40,7 @@ def naive_budget(census: TripleCensus, epsilon: float, delta: float) -> SampleBu
     """
     _validate_budget_args(census, epsilon, delta)
     factor = 1.0 + (census.t0 + census.t1 + census.t2) / census.t3
-    r = math.ceil(_log(1.0 / delta) * factor / epsilon ** 2)
+    r = math.ceil(math.log(1.0 / delta) * factor / epsilon ** 2)
     return SampleBudget(epsilon=epsilon, delta=delta, r=max(int(r), 1))
 
 
@@ -56,7 +52,7 @@ def buriol_budget(census: TripleCensus, epsilon: float, delta: float) -> SampleB
     """
     _validate_budget_args(census, epsilon, delta)
     factor = 3.0 + (census.t1 + 2 * census.t2) / census.t3
-    r = math.ceil(_log(1.0 / delta) * 2.0 * factor / epsilon ** 2)
+    r = math.ceil(math.log(1.0 / delta) * 2.0 * factor / epsilon ** 2)
     return SampleBudget(epsilon=epsilon, delta=delta, r=max(int(r), 1))
 
 

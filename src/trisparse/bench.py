@@ -4,7 +4,7 @@ the benchmark CLI."""
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 SCHEMA_VERSION = 1
 
@@ -36,9 +36,6 @@ class SpeedupSummary:
             return exact_time / t if t > 0 else float("inf")
         return cls(xfaster1=over(count_time), xfaster2=over(total_time))
 
-    def to_dict(self) -> dict:
-        return {"xfaster1": self.xfaster1, "xfaster2": self.xfaster2}
-
 
 @dataclass
 class ExperimentRecord:
@@ -60,31 +57,6 @@ class ExperimentRecord:
             if self.exact_t > 0:
                 self.ratio = self.estimate / self.exact_t
 
-    def to_dict(self) -> dict:
-        return {
-            "graph_id": self.graph_id,
-            "method": self.method,
-            "parameters": dict(self.parameters),
-            "estimate": self.estimate,
-            "exact_t": self.exact_t,
-            "ratio": self.ratio,
-            "timings": dict(self.timings),
-            "seed": self.seed,
-        }
-
-    @staticmethod
-    def from_dict(d: dict) -> "ExperimentRecord":
-        return ExperimentRecord(
-            graph_id=d["graph_id"],
-            method=d["method"],
-            parameters=dict(d.get("parameters", {})),
-            estimate=d.get("estimate"),
-            exact_t=d.get("exact_t"),
-            ratio=d.get("ratio"),
-            timings=dict(d.get("timings", {})),
-            seed=d.get("seed"),
-        )
-
 
 def make_payload(command: str, graph_info: dict, records: list[ExperimentRecord],
                  summary: dict | None = None) -> dict:
@@ -92,7 +64,7 @@ def make_payload(command: str, graph_info: dict, records: list[ExperimentRecord]
         "schema_version": SCHEMA_VERSION,
         "command": command,
         "graph": dict(graph_info),
-        "records": [r.to_dict() for r in records],
+        "records": [asdict(r) for r in records],
     }
     if summary is not None:
         payload["summary"] = dict(summary)

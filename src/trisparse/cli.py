@@ -7,6 +7,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from dataclasses import asdict
 from pathlib import Path
 from time import perf_counter
 
@@ -68,15 +69,14 @@ def _print_records(records: list[bench.ExperimentRecord], columns: list[str]) ->
     headers = ["method"] + columns
     rows = []
     for r in records:
-        d = r.to_dict()
         row = [r.method]
         for c in columns:
-            if c in d["parameters"]:
-                row.append(d["parameters"][c])
-            elif c in d["timings"]:
-                row.append(d["timings"][c])
+            if c in r.parameters:
+                row.append(r.parameters[c])
+            elif c in r.timings:
+                row.append(r.timings[c])
             else:
-                row.append(d.get(c))
+                row.append(getattr(r, c, None))
         rows.append(row)
     print(bench.format_table(headers, rows))
 
@@ -89,7 +89,7 @@ def cmd_gen(args) -> int:
         ["model", "n", "m", "max_degree", "isolated", "weighted", "output"],
         [[args.model, st.n, st.m, st.max_degree, st.isolated, g.is_weighted, str(args.output)]]))
     return _emit(args, _graph_info(args.model, g), [],
-                 {"stats": st.to_dict(), "seed": args.seed, "output": str(args.output)})
+                 {"stats": asdict(st), "seed": args.seed, "output": str(args.output)})
 
 
 def cmd_count(args) -> int:
@@ -123,7 +123,7 @@ def cmd_count(args) -> int:
     row = [info["id"], g.n, g.m, args.algo, t, trans, delta_max, count_time]
     if args.census:
         census = exact.triple_census(g, t=t)
-        summary["census"] = census.to_dict()
+        summary["census"] = asdict(census)
         headers += ["t0", "t1", "t2", "t3"]
         row += [census.t0, census.t1, census.t2, census.t3]
     if per_edge is not None:
@@ -163,7 +163,7 @@ def cmd_estimate(args) -> int:
         "mean_ratio": (mean_est / exact_t) if exact_t else None,
         "spread": ad.batch_spread(estimates),
         "expected_speedup": bench.expected_speedup(args.p),
-        "speedups": speedups.to_dict(),
+        "speedups": asdict(speedups),
     }
     _print_records(records, ["p", "estimate", "ratio", "t_prime", "sparsify", "count"])
     print(bench.format_table(
@@ -196,13 +196,13 @@ def cmd_adaptive(args) -> int:
                       "counter": report.counter},
                      report.final_estimate, exact_t, report.total_sparsify_time,
                      report.total_count_time, report.total_time, args.seed)
-    summary = {"adaptive": report.to_dict(),
+    summary = {"adaptive": asdict(report),
                "exact_t": exact_t, "exact_time": exact_time,
                "expected_speedup": bench.expected_speedup(report.p_star)}
     if exact_time is not None:
         star = report.trace[-1]
-        summary["speedups"] = bench.SpeedupSummary.measure(
-            exact_time, star.count_time / len(star.estimates), report.total_time).to_dict()
+        summary["speedups"] = asdict(bench.SpeedupSummary.measure(
+            exact_time, star.count_time / len(star.estimates), report.total_time))
     print(bench.format_table(
         ["p_star", "final_estimate", "ratio", "total_trials", "total_time", "xfaster1", "xfaster2"],
         [[report.p_star, report.final_estimate, record.ratio, report.total_trials,
@@ -237,17 +237,17 @@ def cmd_baseline(args) -> int:
             print(f"required sample size {r} exceeds --max-r {args.max_r}; not running "
                   "(the budget itself is the finding: triple sampling is impractical here)")
             return _emit(args, info, [],
-                         {"method": args.method, "budget": budget.to_dict(),
-                          "census": census.to_dict(), "exact_t": exact_t, "ran": False})
+                         {"method": args.method, "budget": asdict(budget),
+                          "census": asdict(census), "exact_t": exact_t, "ran": False})
 
     sampler = bl.naive_sample if args.method == "naive" else bl.buriol_sample
     estimate, sample_time = _timed(sampler, g, r, seed=args.seed)
     record = _record(info, args.method, {"r": r, "epsilon": args.epsilon, "delta": args.delta},
                      estimate, exact_t, 0.0, sample_time, seed=args.seed)
     summary = {"method": args.method, "r": r, "exact_t": exact_t,
-               "exact_time": exact_time, "census": census.to_dict(), "ran": True}
+               "exact_time": exact_time, "census": asdict(census), "ran": True}
     if budget is not None:
-        summary["budget"] = budget.to_dict()
+        summary["budget"] = asdict(budget)
     _print_records([record], ["r", "estimate", "ratio", "count"])
     return _emit(args, info, [record], summary)
 
@@ -282,7 +282,7 @@ def cmd_bench(args) -> int:
                                    ("buriol", bl.buriol_budget, bl.buriol_sample)):
         try:
             budget = maker(census, args.epsilon, args.delta)
-            budgets[method] = budget.to_dict()
+            budgets[method] = asdict(budget)
             r = min(budget.r, args.baseline_r)
         except ValueError:
             budgets[method] = None
@@ -302,9 +302,9 @@ def cmd_bench(args) -> int:
         "exact_t": exact_t,
         "p_star": report.p_star,
         "expected_speedup": bench.expected_speedup(report.p_star),
-        "speedups": speedups.to_dict(),
+        "speedups": asdict(speedups),
         "budgets": budgets,
-        "census": census.to_dict(),
+        "census": asdict(census),
     }
     _print_records(records, ["estimate", "ratio", "sparsify", "count", "total"])
     print(bench.format_table(

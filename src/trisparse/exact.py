@@ -35,12 +35,6 @@ class TriangleStats:
     transitivity: float
     delta_per_edge: dict[tuple[int, int], int] | None = None
 
-    def to_dict(self) -> dict:
-        out = {"t": self.t, "delta_max": self.delta_max, "transitivity": self.transitivity}
-        if self.delta_per_edge is not None:
-            out["delta_per_edge"] = {f"{u}-{v}": d for (u, v), d in self.delta_per_edge.items()}
-        return out
-
 
 @dataclass(frozen=True)
 class TripleCensus:
@@ -50,12 +44,6 @@ class TripleCensus:
     t1: int
     t2: int
     t3: int
-
-    def as_tuple(self) -> tuple[int, int, int, int]:
-        return (self.t0, self.t1, self.t2, self.t3)
-
-    def to_dict(self) -> dict:
-        return {"t0": self.t0, "t1": self.t1, "t2": self.t2, "t3": self.t3}
 
 
 def _require_unweighted(g: Graph, what: str) -> None:

@@ -7,6 +7,17 @@ import numpy as np
 from .graph import Graph
 
 
+def _book_edges(k: int) -> tuple[np.ndarray, np.ndarray]:
+    """Canonical edge arrays of book(k): the hub edge (0, 1), then (0, s)
+    and (1, s) for every spoke s."""
+    if k <= 0:
+        raise ValueError(f"book size must be positive, got {k}")
+    spokes = np.arange(2, k + 2, dtype=np.int64)
+    eu = np.concatenate([[0], np.zeros(k, dtype=np.int64), np.ones(k, dtype=np.int64)])
+    ev = np.concatenate([[1], spokes, spokes])
+    return eu, ev
+
+
 def book(k: int) -> Graph:
     """Two hub vertices joined by an edge, sharing k common spoke neighbors.
 
@@ -14,12 +25,7 @@ def book(k: int) -> Graph:
     one edge wipes out every triangle: the family defeats independent
     edge sampling. n = k + 2, m = 2k + 1.
     """
-    if k <= 0:
-        raise ValueError(f"book size must be positive, got {k}")
-    spokes = np.arange(2, k + 2, dtype=np.int64)
-    eu = np.concatenate([[0], np.zeros(k, dtype=np.int64), np.ones(k, dtype=np.int64)])
-    ev = np.concatenate([[1], spokes, spokes])
-    return Graph.build(k + 2, eu, ev)
+    return Graph.build(k + 2, *_book_edges(k))
 
 
 def weighted_book(k: int, heavy_weight: float) -> Graph:
@@ -29,14 +35,9 @@ def weighted_book(k: int, heavy_weight: float) -> Graph:
     every other edge has weight 1. Under the product convention that one
     triangle is worth heavy_weight**2, so for large weights a single coin
     flip on a heavy edge moves almost the whole weighted total.
+    ``Graph.build`` rejects a heavy weight that is not positive and finite.
     """
-    if k <= 0:
-        raise ValueError(f"book size must be positive, got {k}")
-    if not heavy_weight > 0:
-        raise ValueError(f"heavy weight must be positive, got {heavy_weight}")
-    spokes = np.arange(2, k + 2, dtype=np.int64)
-    eu = np.concatenate([[0], np.zeros(k, dtype=np.int64), np.ones(k, dtype=np.int64)])
-    ev = np.concatenate([[1], spokes, spokes])
+    eu, ev = _book_edges(k)
     w = np.ones(2 * k + 1, dtype=np.float64)
     w[1] = heavy_weight       # edge (0, 2)
     w[1 + k] = heavy_weight   # edge (1, 2)

@@ -33,15 +33,6 @@ class GraphStats:
     degree_histogram: tuple[int, ...]
     isolated: int
 
-    def to_dict(self) -> dict:
-        return {
-            "n": self.n,
-            "m": self.m,
-            "max_degree": self.max_degree,
-            "degree_histogram": list(self.degree_histogram),
-            "isolated": self.isolated,
-        }
-
 
 @dataclass(frozen=True, eq=False)
 class Graph:
@@ -81,9 +72,6 @@ class Graph:
 
     def neighbors(self, u: int) -> np.ndarray:
         return self.indices[self.indptr[u]:self.indptr[u + 1]]
-
-    def degree(self, u: int) -> int:
-        return int(self.indptr[u + 1] - self.indptr[u])
 
     def edge_positions(self, us, vs) -> np.ndarray:
         """Positions of the (us[i], vs[i]) edges in the canonical edge
@@ -164,8 +152,8 @@ class Graph:
         edge_v_f = hi[first]
         if w is not None:
             w = w[first]
-            if w.size and not np.all(w > 0):
-                raise ValueError("edge weights must be positive")
+            if not np.all((w > 0) & (w < np.inf)):
+                raise ValueError("edge weights must be positive and finite")
 
         m = edge_u_f.size
         src = np.concatenate([edge_u_f, edge_v_f])
@@ -260,16 +248,14 @@ def write_edge_list(path, g: Graph) -> None:
     Isolated vertices are not representable in this format and are lost
     on reload.
     """
+    us, vs = g.edge_u, g.edge_v
+    if g.labels is not None:
+        us, vs = g.labels[us], g.labels[vs]
+    columns = [us.tolist(), vs.tolist()]
+    if g.is_weighted:
+        columns.append(g.weights.tolist())
     with open(path, "w", encoding="utf-8") as fh:
-        if g.is_weighted:
-            for i in range(g.m):
-                fh.write(f"{g.label_of(int(g.edge_u[i]))} "
-                         f"{g.label_of(int(g.edge_v[i]))} "
-                         f"{float(g.weights[i])!r}\n")
-        else:
-            for i in range(g.m):
-                fh.write(f"{g.label_of(int(g.edge_u[i]))} "
-                         f"{g.label_of(int(g.edge_v[i]))}\n")
+        fh.writelines(" ".join(map(str, row)) + "\n" for row in zip(*columns))
 
 
 def stats(g: Graph) -> GraphStats:

@@ -28,9 +28,6 @@ class SparsifyParams:
         if not (0.0 < self.p <= 1.0):
             raise ValueError(f"retention probability must lie in (0, 1], got {self.p}")
 
-    def to_dict(self) -> dict:
-        return {"p": self.p, "seed": self.seed}
-
 
 @dataclass(frozen=True)
 class Estimate:
@@ -43,17 +40,6 @@ class Estimate:
     sparsify_time: float
     count_time: float
 
-    def to_dict(self) -> dict:
-        return {
-            "p": self.params.p,
-            "seed": self.params.seed,
-            "surviving_edges": self.surviving_edges,
-            "t_prime": self.t_prime,
-            "estimate": self.estimate,
-            "sparsify_time": self.sparsify_time,
-            "count_time": self.count_time,
-        }
-
 
 @dataclass(frozen=True)
 class WeightedEstimate:
@@ -65,17 +51,6 @@ class WeightedEstimate:
     convention: str
     sparsify_time: float
     count_time: float
-
-    def to_dict(self) -> dict:
-        return {
-            "p": self.params.p,
-            "seed": self.params.seed,
-            "surviving_edges": self.surviving_edges,
-            "estimate": self.estimate,
-            "convention": self.convention,
-            "sparsify_time": self.sparsify_time,
-            "count_time": self.count_time,
-        }
 
 
 def survival_mask(m: int, params: SparsifyParams) -> np.ndarray:

@@ -287,3 +287,8 @@ class TestRunTrials:
             direct = estimate_triangles(g, SparsifyParams(0.4, trial_seed(3, 7, j)), counter)
             assert (est.params, est.surviving_edges, est.t_prime, est.estimate) == \
                 (direct.params, direct.surviving_edges, direct.t_prime, direct.estimate)
+
+    @pytest.mark.parametrize("threads", [0, -3])
+    def test_thread_count_below_one_rejected(self, threads):
+        with pytest.raises(ValueError, match="thread count must be at least 1"):
+            run_trials(gnp(30, 0.3, 1), 0.5, 0, 0, 2, threads=threads)

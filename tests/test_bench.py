@@ -1,5 +1,6 @@
 import json
 import math
+from dataclasses import asdict
 
 import pytest
 
@@ -39,8 +40,7 @@ class TestExperimentRecord:
                                parameters={"p0": 0.1}, estimate=42.0,
                                exact_t=40, timings={"load": 0.2, "count": 0.1},
                                seed=7)
-        again = ExperimentRecord.from_dict(rec.to_dict())
-        assert again.to_dict() == rec.to_dict()
+        assert ExperimentRecord(**asdict(rec)) == rec
 
     def test_unknown_method_rejected(self):
         with pytest.raises(ValueError):
@@ -65,7 +65,7 @@ class TestReports:
 
     def test_speedup_summary(self):
         s = SpeedupSummary(xfaster1=100.0, xfaster2=10.0)
-        assert s.to_dict() == {"xfaster1": 100.0, "xfaster2": 10.0}
+        assert asdict(s) == {"xfaster1": 100.0, "xfaster2": 10.0}
         assert s.xfaster2 <= s.xfaster1
 
     def test_speedup_measure(self):

@@ -272,6 +272,101 @@ class TestTrialSeeds:
             assert seeds == [trial_seed(21, batch, k) for k in range(len(seeds))]
 
 
+def _keys(obj):
+    """Recursive key structure of a JSON value: a dict maps each key to the
+    structure of its value, a list to the distinct structures of its items
+    in order of first appearance, and a scalar to None."""
+    if isinstance(obj, dict):
+        return {k: _keys(v) for k, v in obj.items()}
+    if isinstance(obj, list):
+        out = []
+        for item in map(_keys, obj):
+            if item not in out:
+                out.append(item)
+        return out
+    return None
+
+
+GRAPH = dict.fromkeys(["id", "n", "m", "weighted", "load_time"])
+CENSUS = dict.fromkeys(["t0", "t1", "t2", "t3"])
+SPEEDUPS = dict.fromkeys(["xfaster1", "xfaster2"])
+BUDGET = dict.fromkeys(["epsilon", "delta", "r"])
+COUNT = dict.fromkeys(["t", "algo", "transitivity", "delta_max", "count_time", "load_time"])
+
+
+def _record_keys(*parameters):
+    return {"graph_id": None, "method": None, "parameters": dict.fromkeys(parameters),
+            "estimate": None, "exact_t": None, "ratio": None, "seed": None,
+            "timings": dict.fromkeys(["load", "sparsify", "count", "total"])}
+
+
+def _report_keys(records, summary, graph=GRAPH):
+    return {"schema_version": None, "command": None, "graph": graph,
+            "records": records, "summary": summary}
+
+
+SCHEMAS = {
+    "gen": ("complete:4", ["gen"], _report_keys(
+        [], {"seed": None, "output": None,
+             "stats": {"n": None, "m": None, "max_degree": None,
+                       "degree_histogram": [None], "isolated": None}},
+        graph=dict.fromkeys(["id", "n", "m", "weighted"]))),
+    "count": ("complete:4", ["count"], _report_keys([], COUNT)),
+    "count-census": ("complete:4", ["count", "--census"],
+                     _report_keys([], {**COUNT, "census": CENSUS})),
+    "count-delta": ("complete:4", ["count", "--delta"], _report_keys(
+        [], {**COUNT, "delta_per_edge": dict.fromkeys(
+            ["0-1", "0-2", "0-3", "1-2", "1-3", "2-3"])})),
+    "count-weighted": ("weighted_book:3:5", ["count", "--weighted"], _report_keys(
+        [], dict.fromkeys(["weighted_triangle_total", "convention", "count_time"]))),
+    "estimate": ("gnp:150:0.15", ["estimate", "--p", "0.5", "--seed", "1", "--runs", "2",
+                                  "--threads", "1"], _report_keys(
+        [_record_keys("p", "counter", "surviving_edges", "t_prime")],
+        {**dict.fromkeys(["p", "master_seed", "runs", "exact_t", "exact_time",
+                          "mean_estimate", "mean_ratio", "spread", "expected_speedup"]),
+         "speedups": SPEEDUPS})),
+    "adaptive": ("gnp:150:0.15", ["adaptive", "--threads", "1"], _report_keys(
+        [_record_keys("p0", "p_star", "trials_per_p", "spread_threshold", "counter")],
+        {"adaptive": {
+            **dict.fromkeys(["p_star", "final_estimate", "p0", "trials_per_p",
+                             "spread_threshold", "counter", "seed", "total_trials",
+                             "total_time", "total_sparsify_time", "total_count_time"]),
+            "trace": [{"p": None, "estimates": [None], "spread": None, "concentrated": None,
+                       "sparsify_time": None, "count_time": None}]},
+         "exact_t": None, "exact_time": None, "expected_speedup": None,
+         "speedups": SPEEDUPS})),
+    "baseline": ("complete:6", ["baseline", "--method", "buriol",
+                                "--epsilon", "0.5", "--delta", "0.5"], _report_keys(
+        [_record_keys("r", "epsilon", "delta")],
+        {"method": None, "r": None, "exact_t": None, "exact_time": None,
+         "census": CENSUS, "ran": None, "budget": BUDGET})),
+    "baseline-over-cap": ("complete:6", ["baseline", "--method", "naive", "--epsilon", "0.01",
+                                         "--delta", "0.01", "--max-r", "10"], _report_keys(
+        [], {"method": None, "budget": BUDGET, "census": CENSUS, "exact_t": None,
+             "ran": None})),
+    "bench": ("gnp:150:0.15", ["bench", "--baseline-r", "500", "--threads", "1"], _report_keys(
+        [_record_keys("delta_max", "transitivity"), _record_keys(),
+         _record_keys("p0", "p_star", "trials_per_p"), _record_keys("p", "t_prime"),
+         _record_keys("r", "epsilon", "delta")],
+        {"exact_t": None, "p_star": None, "expected_speedup": None, "speedups": SPEEDUPS,
+         "budgets": {"naive": BUDGET, "buriol": BUDGET}, "census": CENSUS})),
+}
+
+
+class TestReportSchema:
+    @pytest.mark.parametrize("name", SCHEMAS)
+    def test_report_key_structure(self, tmp_path, name):
+        spec, argv, expected = SCHEMAS[name]
+        report = tmp_path / "r.json"
+        if argv[0] == "gen":
+            assert main(["gen", spec, "-o", str(tmp_path / "g.txt"),
+                         "--json", str(report)]) == 0
+        else:
+            path = _gen(tmp_path, spec, seed=9)
+            assert main([argv[0], str(path), *argv[1:], "--json", str(report)]) == 0
+        assert _keys(load_json_report(report)) == expected
+
+
 class TestArgumentErrors:
     def test_unknown_subcommand_exits_nonzero(self):
         with pytest.raises(SystemExit) as exc:
@@ -288,3 +383,14 @@ class TestArgumentErrors:
         with pytest.raises(SystemExit) as exc:
             main([])
         assert exc.value.code == 2
+
+    @pytest.mark.parametrize("threads", ["0", "-2"])
+    @pytest.mark.parametrize("argv", [
+        ["estimate", "--p", "0.5", "--seed", "1"], ["adaptive"], ["bench"],
+    ], ids=["estimate", "adaptive", "bench"])
+    def test_thread_count_below_one_fails(self, tmp_path, capsys, argv, threads):
+        path = _gen(tmp_path, "complete:5")
+        capsys.readouterr()
+        assert main([argv[0], str(path), *argv[1:], "--threads", threads]) == 1
+        assert capsys.readouterr().err == \
+            f"error: thread count must be at least 1, got {threads}\n"

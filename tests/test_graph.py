@@ -150,6 +150,21 @@ class TestGraphInvariants:
         with pytest.raises(ValueError):
             Graph.build(3, [0, 1], [1, 2], weights=[1.0, -1.0])
 
+    @pytest.mark.parametrize("bad", [np.inf, np.nan, 1e400])
+    def test_build_rejects_non_finite_weights(self, bad):
+        with pytest.raises(ValueError, match="positive and finite"):
+            Graph.build(3, [0, 1], [1, 2], weights=[1.0, bad])
+
+    def test_write_edge_list_exact_bytes(self, tmp_path):
+        # labels map back to the file's ids; weights are written with repr
+        g = Graph.build(3, [0, 1, 0], [1, 2, 2], weights=[0.1, 2.0, 1 / 3],
+                        labels=[-7, 40, 2**62])
+        path = tmp_path / "g.txt"
+        write_edge_list(path, g)
+        assert path.read_bytes() == (b"-7 40 0.1\n"
+                                     b"-7 4611686018427387904 0.3333333333333333\n"
+                                     b"40 4611686018427387904 2.0\n")
+
     def test_has_edge_and_positions(self):
         g = book(3)
         assert g.has_edge(0, 1) and g.has_edge(1, 0)
@@ -191,6 +206,12 @@ class TestGenerators:
         assert g.edge_weight(0, 1) == 1.0
         assert g.edge_weight(0, 3) == 1.0
 
+    @pytest.mark.parametrize("k", [1, 4, 30])
+    def test_weighted_book_has_book_edges(self, k):
+        plain, heavy = book(k), weighted_book(k, 9.0)
+        assert np.array_equal(plain.edge_u, heavy.edge_u)
+        assert np.array_equal(plain.edge_v, heavy.edge_v)
+
     def test_generate_specs(self):
         assert generate("book:3").m == 7
         assert generate("complete:4").m == 6
@@ -200,6 +221,7 @@ class TestGenerators:
     @pytest.mark.parametrize("spec", [
         "unknown:3", "book", "book:0", "book:-1", "gnp:50", "gnp:0:0.5",
         "gnp:50:1.5", "gnp:50:-0.1", "complete:0", "weighted_book:3:0",
+        "weighted_book:3:inf", "weighted_book:3:nan",
     ])
     def test_generate_rejects_bad_specs(self, spec):
         with pytest.raises(ValueError):
