@@ -8,7 +8,7 @@ import math
 import sys
 import warnings
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from time import perf_counter
 
 import numpy as np
@@ -162,12 +162,13 @@ class AdaptiveReport:
     p0: float
     trials_per_p: int
     spread_threshold: float
-    counter: str
     seed: int
     total_trials: int
     total_time: float
     total_sparsify_time: float
     total_count_time: float
+    # every trial counts its sample with the forward node scan
+    counter: str = field(default="node", init=False)
 
 
 def trial_seed(master_seed: int, batch_index: int, trial_index: int) -> int:
@@ -183,23 +184,28 @@ def default_p0(n: int, p_floor: float = DEFAULT_P_FLOOR) -> float:
     return min(max(1.0 / math.sqrt(n), p_floor), 1.0)
 
 
+def check_threads(threads: int) -> None:
+    """Reject a worker count below 1."""
+    if threads < 1:
+        raise ValueError(f"thread count must be at least 1, got {threads}")
+
+
 def run_trials(g: Graph, p: float, seed: int, batch_index: int, trials: int,
-               counter: str = "node", threads: int = 1) -> list[Estimate]:
+               threads: int = 1) -> list[Estimate]:
     """Sparsify-and-count ``trials`` times at rate p on a pool of
     ``threads`` (at least 1) workers; trial j uses seed
     ``trial_seed(seed, batch_index, j)``. Results come back in trial
     order, whatever the thread count."""
-    if threads < 1:
-        raise ValueError(f"thread count must be at least 1, got {threads}")
+    check_threads(threads)
     params = [SparsifyParams(p=p, seed=trial_seed(seed, batch_index, j))
               for j in range(trials)]
     with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(lambda pr: estimate_triangles(g, pr, counter), params))
+        return list(pool.map(lambda pr: estimate_triangles(g, pr), params))
 
 
 def _run_batch(g: Graph, p: float, batch_index: int, trials: int,
-               threshold: float, counter: str, seed: int, threads: int) -> Batch:
-    results = run_trials(g, p, seed, batch_index, trials, counter, threads)
+               threshold: float, seed: int, threads: int) -> Batch:
+    results = run_trials(g, p, seed, batch_index, trials, threads)
     estimates = tuple(r.estimate for r in results)
     spread = batch_spread(estimates)
     if p >= 1.0:
@@ -219,11 +225,21 @@ def _run_batch(g: Graph, p: float, batch_index: int, trials: int,
     )
 
 
+def check_search(p0: float | None, trials_per_p: int, spread_threshold: float) -> None:
+    """Reject the search settings ``doubling_search`` cannot run with; a
+    p0 of None stands for the default rate."""
+    if p0 is not None and not (0.0 < p0 <= 1.0):
+        raise ValueError(f"starting rate must lie in (0, 1], got {p0}")
+    if trials_per_p < 2:
+        raise ValueError(f"need at least 2 trials per rate, got {trials_per_p}")
+    if not spread_threshold > 0:
+        raise ValueError(f"spread threshold must be positive, got {spread_threshold}")
+
+
 def doubling_search(g: Graph, p0: float | None = None,
                     trials_per_p: int = DEFAULT_TRIALS_PER_P,
                     spread_threshold: float = DEFAULT_SPREAD_THRESHOLD,
-                    counter: str = "node", seed: int = 0,
-                    threads: int = 1) -> AdaptiveReport:
+                    seed: int = 0, threads: int = 1) -> AdaptiveReport:
     """Estimate repeatedly at p0, 2*p0, 4*p0, ... until the batch of
     trials stabilizes (relative range at most ``spread_threshold`` with
     all-positive estimates), then report that batch's mean.
@@ -233,14 +249,9 @@ def doubling_search(g: Graph, p0: float | None = None,
     The rate is capped at 1, where counting is exact, so the search always
     terminates within ceil(log2(1/p0)) + 1 batches.
     """
+    check_search(p0, trials_per_p, spread_threshold)
     if p0 is None:
         p0 = default_p0(g.n)
-    if not (0.0 < p0 <= 1.0):
-        raise ValueError(f"starting rate must lie in (0, 1], got {p0}")
-    if trials_per_p < 2:
-        raise ValueError(f"need at least 2 trials per rate, got {trials_per_p}")
-    if not spread_threshold > 0:
-        raise ValueError(f"spread threshold must be positive, got {spread_threshold}")
 
     start = perf_counter()
     trace: list[Batch] = []
@@ -248,7 +259,7 @@ def doubling_search(g: Graph, p0: float | None = None,
     batch_index = 0
     while True:
         batch = _run_batch(g, p, batch_index, trials_per_p, spread_threshold,
-                           counter, seed, threads)
+                           seed, threads)
         trace.append(batch)
         if batch.concentrated or p >= 1.0:
             break
@@ -264,7 +275,6 @@ def doubling_search(g: Graph, p0: float | None = None,
         p0=p0,
         trials_per_p=trials_per_p,
         spread_threshold=spread_threshold,
-        counter=counter,
         seed=seed,
         total_trials=sum(len(b.estimates) for b in trace),
         total_time=total_time,

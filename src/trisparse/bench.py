@@ -77,11 +77,6 @@ def write_json_report(path, payload: dict) -> None:
         fh.write("\n")
 
 
-def load_json_report(path) -> dict:
-    with open(path, "r", encoding="utf-8") as fh:
-        return json.load(fh)
-
-
 def _cell(value) -> str:
     if value is None:
         return "-"

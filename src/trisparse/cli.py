@@ -17,7 +17,7 @@ from . import bench
 from . import exact
 from . import generators
 from .graph import Graph, load_edge_list, stats, write_edge_list
-from .sparsify import TRIANGLE_VALUE_CONVENTION, count_weighted_triangles, sparsify
+from .sparsify import SparsifyParams, count_weighted_triangles, sparsify
 
 
 def _graph_info(graph_id: str, g: Graph, load_time: float | None = None) -> dict:
@@ -99,9 +99,9 @@ def cmd_count(args) -> int:
         value, count_time = _timed(count_weighted_triangles, g)
         print(bench.format_table(
             ["graph", "n", "m", "weighted_triangle_total", "convention", "count_time"],
-            [[info["id"], g.n, g.m, value, TRIANGLE_VALUE_CONVENTION, count_time]]))
+            [[info["id"], g.n, g.m, value, "product", count_time]]))
         return _emit(args, info, [], {"weighted_triangle_total": value,
-                                      "convention": TRIANGLE_VALUE_CONVENTION,
+                                      "convention": "product",
                                       "count_time": count_time})
 
     start = perf_counter()
@@ -133,14 +133,16 @@ def cmd_count(args) -> int:
 
 
 def cmd_estimate(args) -> int:
+    SparsifyParams(args.p)  # rejects a bad --p before the load
     if args.runs < 1:
         raise ValueError(f"--runs must be at least 1, got {args.runs}")
+    ad.check_threads(args.threads)
     g, info = _load(args)
-    exact_t, exact_time = _timed(exact.count_triangles, g, args.counter)
+    exact_t, exact_time = _timed(exact.count_triangles, g)
 
-    trials = ad.run_trials(g, args.p, args.seed, 0, args.runs, args.counter, args.threads)
+    trials = ad.run_trials(g, args.p, args.seed, 0, args.runs, args.threads)
     records = [_record(info, "doulion",
-                       {"p": args.p, "counter": args.counter,
+                       {"p": args.p, "counter": "node",
                         "surviving_edges": est.surviving_edges, "t_prime": est.t_prime},
                        est.estimate, exact_t, est.sparsify_time, est.count_time,
                        seed=est.params.seed)
@@ -174,15 +176,16 @@ def cmd_estimate(args) -> int:
 
 
 def cmd_adaptive(args) -> int:
+    ad.check_search(args.p0, args.runs, args.threshold)
+    ad.check_threads(args.threads)
     g, info = _load(args)
     exact_t = exact_time = None
     if not args.skip_exact:
-        exact_t, exact_time = _timed(exact.count_triangles, g, args.counter)
+        exact_t, exact_time = _timed(exact.count_triangles, g)
 
     report = ad.doubling_search(g, p0=args.p0, trials_per_p=args.runs,
                                 spread_threshold=args.threshold,
-                                counter=args.counter, seed=args.seed,
-                                threads=args.threads)
+                                seed=args.seed, threads=args.threads)
 
     print(bench.format_table(
         ["p", "trials", "mean_estimate", "spread", "concentrated", "sparsify_time", "count_time"],
@@ -253,6 +256,7 @@ def cmd_baseline(args) -> int:
 
 
 def cmd_bench(args) -> int:
+    ad.check_threads(args.threads)
     g, info = _load(args)
     node_stats, node_time = _timed(exact.count_node_iterator, g)
     exact_t = node_stats.t
@@ -343,7 +347,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--p", type=float, required=True, help="retention probability in (0, 1]")
     p.add_argument("--seed", type=int, required=True, help="master seed")
     p.add_argument("--runs", type=int, default=1)
-    p.add_argument("--counter", choices=("node", "edge"), default="node")
     p.add_argument("--threads", type=int, default=os.cpu_count() or 1)
     p.add_argument("--save-sparsified", default=None,
                    help="write the first run's sparsified graph to this edge-list path")
@@ -359,7 +362,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--threshold", type=float, default=ad.DEFAULT_SPREAD_THRESHOLD,
                    help="relative-range concentration threshold")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--counter", choices=("node", "edge"), default="node")
     p.add_argument("--threads", type=int, default=os.cpu_count() or 1)
     p.add_argument("--skip-exact", action="store_true",
                    help="skip the exact count (no accuracy ratio in the report)")

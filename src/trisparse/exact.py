@@ -3,7 +3,9 @@ triple census and the global transitivity ratio."""
 
 from __future__ import annotations
 
+import functools
 import itertools
+import threading
 from dataclasses import dataclass
 from math import comb
 
@@ -51,9 +53,17 @@ def _require_unweighted(g: Graph, what: str) -> None:
         raise ValueError(f"{what} expects an unweighted graph")
 
 
+def _kept_ptr(ptr: np.ndarray, keep: np.ndarray) -> np.ndarray:
+    """Row pointers ``ptr`` of a CSR once only entries where keep holds remain."""
+    kept = np.zeros(keep.size + 1, dtype=np.int64)
+    np.cumsum(keep, out=kept[1:])
+    return kept[ptr]
+
+
 def _forward_structure(g: Graph):
     """Orient each edge from its lower to higher endpoint in
-    degree-then-id order; return the forward adjacency in CSR form.
+    degree-then-id order; return the forward adjacency in CSR form and
+    the mask of symmetric CSR entries it keeps.
 
     The symmetric CSR already lists every row in ascending id, so keeping
     the forward entries in place yields ascending forward rows."""
@@ -61,10 +71,36 @@ def _forward_structure(g: Graph):
     deg = g.degrees
     rank = deg * np.int64(n) + np.arange(n, dtype=np.int64)
     keep = np.repeat(rank, deg) < rank[g.indices]
-    kept = np.zeros(keep.size + 1, dtype=np.int64)
-    np.cumsum(keep, out=kept[1:])
-    fptr = kept[g.indptr]
-    return fptr, np.diff(fptr), g.indices[keep]
+    return _kept_ptr(g.indptr, keep), g.indices[keep], keep
+
+
+_FORWARD_LOCK = threading.Lock()
+
+
+@functools.lru_cache(maxsize=1)
+def _forward_positions(g: Graph):
+    """g's forward CSR plus the canonical edge position of each forward
+    entry; built once per graph and shared by all of its trials."""
+    fptr, fidx, keep = _forward_structure(g)
+    # entries (u, w) with u < w are the canonical edges in order; entries
+    # (w, u) are in canonical order stably sorted by the higher endpoint
+    upper = np.repeat(np.arange(g.n, dtype=np.int64), g.degrees) < g.indices
+    pos = np.empty(upper.size, dtype=np.int64)
+    pos[upper] = np.arange(g.m, dtype=np.int64)
+    pos[~upper] = np.argsort(g.edge_v, kind="stable")
+    return fptr, fidx, pos[keep]
+
+
+def forward_sample(g: Graph, mask: np.ndarray):
+    """Forward CSR and sorted edge keys of the subgraph of g keeping the
+    canonical edges where ``mask`` holds, without building it. g's vertex
+    order is still a total order on the sample, so ``count_forward``
+    finds each of its triangles once."""
+    _require_unweighted(g, "forward_sample")
+    with _FORWARD_LOCK:
+        fptr, fidx, fpos = _forward_positions(g)
+    keep = mask[fpos]
+    return _kept_ptr(fptr, keep), fidx[keep], g.edge_keys[mask]
 
 
 def _slot_table(keys: np.ndarray, n: int) -> tuple[np.ndarray, int]:
@@ -78,30 +114,27 @@ def _slot_table(keys: np.ndarray, n: int) -> tuple[np.ndarray, int]:
     return table, size - 1
 
 
-def _node_scan(g: Graph, collect: bool):
+def _scan(n: int, fptr: np.ndarray, fidx: np.ndarray, keys: np.ndarray, collect: bool):
     """Node-iterator core (forward / compact-forward, Schank & Wagner):
     for every vertex, test adjacency between pairs of its forward
-    neighbors. Each triangle is found exactly once, at its lowest-ranked
-    vertex. A probe is screened through the slot table first; only probes
-    whose slot is set are looked up by binary search on the sorted edge
-    keys, so the result is exact.
+    neighbors, given as the CSR ``fptr, fidx`` over the n vertices, whose
+    edges have the sorted keys u*n+v. Each triangle is found exactly
+    once, at its lowest-ranked vertex. A probe is screened through the
+    slot table first; only probes whose slot is set are looked up by
+    binary search on the keys, so the result is exact.
 
     Returns (t, positions) where positions is a tuple of three arrays
-    giving, for every triangle, the canonical-edge positions of its three
+    giving, for every triangle, the positions in ``keys`` of its three
     edges (or None when not collected).
     """
-    n, m = g.n, g.m
-    empty = np.empty(0, dtype=np.int64)
-    if m == 0 or n < 3:
-        return 0, ((empty, empty, empty) if collect else None)
-    fptr, fdeg, fidx = _forward_structure(g)
-    keys = g.edge_keys
+    m = keys.size
+    fdeg = np.diff(fptr)
     table, mask = _slot_table(keys, n)
     t = 0
-    pos_a: list[np.ndarray] = []
-    pos_b: list[np.ndarray] = []
-    pos_c: list[np.ndarray] = []
-    for f in np.unique(fdeg).tolist():
+    # a leading empty array keeps each concatenation int64 when t = 0
+    empty = np.empty(0, dtype=np.int64)
+    pos_a, pos_b, pos_c = [empty], [empty], [empty]
+    for f in np.flatnonzero(np.bincount(fdeg)).tolist():
         if f < 2:
             continue
         ii, jj = np.triu_indices(f, 1)
@@ -131,16 +164,21 @@ def _node_scan(g: Graph, collect: bool):
                 pos_c.append(loc[hit])
     if not collect:
         return t, None
-    if pos_a:
-        return t, (np.concatenate(pos_a), np.concatenate(pos_b), np.concatenate(pos_c))
-    return t, (empty, empty, empty)
+    return t, (np.concatenate(pos_a), np.concatenate(pos_b), np.concatenate(pos_c))
+
+
+def count_forward(n: int, fptr: np.ndarray, fidx: np.ndarray, keys: np.ndarray) -> int:
+    """Triangle count from a forward CSR on n vertices and the sorted
+    edge keys, e.g. a sample from ``forward_sample``."""
+    return _scan(n, fptr, fidx, keys, collect=False)[0]
 
 
 def triangle_edge_positions(g: Graph) -> tuple[int, tuple[np.ndarray, np.ndarray, np.ndarray]]:
     """Triangle count plus, per triangle, the positions of its three edges
     in the canonical edge arrays. Works for weighted and unweighted graphs
     (weights are ignored; only the topology matters)."""
-    return _node_scan(g, collect=True)
+    fptr, fidx = _forward_structure(g)[:2]
+    return _scan(g.n, fptr, fidx, g.edge_keys, collect=True)
 
 
 def connected_triples(g: Graph) -> int:
@@ -150,7 +188,7 @@ def connected_triples(g: Graph) -> int:
 
 
 def _delta_array(g: Graph) -> tuple[int, np.ndarray]:
-    t, (pa, pb, pc) = _node_scan(g, collect=True)
+    t, (pa, pb, pc) = triangle_edge_positions(g)
     delta = np.bincount(np.concatenate([pa, pb, pc]), minlength=g.m).astype(np.int64)
     return t, delta
 
@@ -218,18 +256,12 @@ def count_brute_force(g: Graph, *, limit: int = DEFAULT_BRUTE_LIMIT) -> int:
     return t
 
 
-def count_triangles(g: Graph, method: str = "node") -> int:
+def count_triangles(g: Graph) -> int:
     """Triangle count only, skipping per-edge bookkeeping. The fast path
     for estimators that need nothing but t."""
-    if method == "node":
-        _require_unweighted(g, "count_triangles")
-        t, _ = _node_scan(g, collect=False)
-        return t
-    if method == "edge":
-        return count_edge_iterator(g).t
-    if method == "brute":
-        return count_brute_force(g)
-    raise ValueError(f"unknown counting method {method!r} (expected node, edge or brute)")
+    _require_unweighted(g, "count_triangles")
+    fptr, fidx = _forward_structure(g)[:2]
+    return count_forward(g.n, fptr, fidx, g.edge_keys)
 
 
 def triple_census(g: Graph, t: int | None = None) -> TripleCensus:

@@ -7,14 +7,10 @@ from time import perf_counter
 
 import numpy as np
 
-from .exact import count_triangles, triangle_edge_positions
+# a trial's t' is the forward scan of its sample, timed under this name
+from .exact import count_forward as count_triangles
+from .exact import forward_sample, triangle_edge_positions
 from .graph import Graph
-
-PRODUCT_CONVENTION = "product"
-SUM_CONVENTION = "sum"
-# Value assigned to a triangle from its three edge weights. Product makes
-# a single heavy edge's influence maximal; sum can be swapped in.
-TRIANGLE_VALUE_CONVENTION = PRODUCT_CONVENTION
 
 
 @dataclass(frozen=True)
@@ -43,12 +39,11 @@ class Estimate:
 
 @dataclass(frozen=True)
 class WeightedEstimate:
-    """One weighted sparsify-and-count trial under a triangle-value convention."""
+    """One weighted sparsify-and-count trial."""
 
     params: SparsifyParams
     surviving_edges: int
     estimate: float
-    convention: str
     sparsify_time: float
     count_time: float
 
@@ -65,7 +60,8 @@ def survival_mask(m: int, params: SparsifyParams) -> np.ndarray:
 def sparsify(g: Graph, params: SparsifyParams) -> Graph:
     """Keep each edge independently with probability p; the vertex set is
     unchanged. The uniform 1/p reweighting is implicit: the output stays
-    unweighted and the estimator applies the 1/p^3 factor once."""
+    unweighted and the estimator applies the 1/p^3 factor once. A trial
+    counts these edges without building the graph."""
     if g.is_weighted:
         raise ValueError("sparsify() expects an unweighted graph; use weighted_sparsify()")
     mask = survival_mask(g.m, params)
@@ -81,23 +77,23 @@ def weighted_sparsify(g: Graph, params: SparsifyParams) -> Graph:
                        weights=g.weights[mask] / params.p, labels=g.labels)
 
 
-def estimate_triangles(g: Graph, params: SparsifyParams, counter: str = "node") -> Estimate:
+def estimate_triangles(g: Graph, params: SparsifyParams) -> Estimate:
     """Sparsify, count exactly on the sample, scale by 1/p^3.
 
-    Sparsification and counting are timed separately; neither includes
-    the time to get the input graph into memory.
+    The sample is g's forward CSR and edge keys filtered by the survival
+    mask; no ``Graph`` is built. ``sparsify_time`` covers the mask and
+    the filter, ``count_time`` the scan; neither includes loading g.
     """
-    if counter not in ("node", "edge"):
-        raise ValueError(f"counter must be 'node' or 'edge', got {counter!r}")
     start = perf_counter()
-    sample = sparsify(g, params)
+    mask = survival_mask(g.m, params)
+    fptr, fidx, keys = forward_sample(g, mask)
     sparsify_time = perf_counter() - start
     start = perf_counter()
-    t_prime = count_triangles(sample, method=counter)
+    t_prime = count_triangles(g.n, fptr, fidx, keys)
     count_time = perf_counter() - start
     return Estimate(
         params=params,
-        surviving_edges=sample.m,
+        surviving_edges=keys.size,
         t_prime=t_prime,
         estimate=t_prime / params.p ** 3,
         sparsify_time=sparsify_time,
@@ -105,43 +101,31 @@ def estimate_triangles(g: Graph, params: SparsifyParams, counter: str = "node") 
     )
 
 
-def count_weighted_triangles(g: Graph, convention: str | None = None) -> float:
-    """Sum of per-triangle values computed from edge weights.
-
-    Product convention: value = w1 * w2 * w3; sum convention:
-    value = w1 + w2 + w3. Unit weights reduce both to the plain count.
-    """
-    convention = convention or TRIANGLE_VALUE_CONVENTION
+def count_weighted_triangles(g: Graph) -> float:
+    """Sum over triangles of the product w1 * w2 * w3 of their edge
+    weights. Unit weights reduce it to the plain count."""
     t, (pa, pb, pc) = triangle_edge_positions(g)
     if t == 0:
         return 0.0
     w = g.weights if g.is_weighted else np.ones(g.m, dtype=np.float64)
-    if convention == PRODUCT_CONVENTION:
-        return float(np.sum(w[pa] * w[pb] * w[pc]))
-    if convention == SUM_CONVENTION:
-        return float(np.sum(w[pa] + w[pb] + w[pc]))
-    raise ValueError(f"unknown triangle value convention {convention!r}")
+    return float(np.sum(w[pa] * w[pb] * w[pc]))
 
 
-def estimate_weighted_triangles(g: Graph, params: SparsifyParams,
-                                convention: str | None = None) -> WeightedEstimate:
+def estimate_weighted_triangles(g: Graph, params: SparsifyParams) -> WeightedEstimate:
     """Weighted pipeline: sparsify with 1/p edge reweighting, then total
-    the surviving triangles. Unbiased for the true weighted total under
-    the product convention (each surviving triangle contributes
-    w1*w2*w3 / p^3); the sum convention is exposed for comparison only.
+    the surviving triangles. Each surviving triangle contributes
+    w1*w2*w3 / p^3, so the estimate is unbiased for the weighted total.
     """
-    convention = convention or TRIANGLE_VALUE_CONVENTION
     start = perf_counter()
     sample = weighted_sparsify(g, params)
     sparsify_time = perf_counter() - start
     start = perf_counter()
-    value = count_weighted_triangles(sample, convention)
+    value = count_weighted_triangles(sample)
     count_time = perf_counter() - start
     return WeightedEstimate(
         params=params,
         surviving_edges=sample.m,
         estimate=value,
-        convention=convention,
         sparsify_time=sparsify_time,
         count_time=count_time,
     )

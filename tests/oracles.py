@@ -48,18 +48,43 @@ def edge_triangle_counts(g: Graph) -> dict[tuple[int, int], int]:
     return delta
 
 
-def weighted_total_by_enumeration(g: Graph, convention: str = "product") -> float:
-    """Sum of triangle values from raw weight lookups."""
+def edge_pairs(g: Graph) -> list[tuple[int, int]]:
+    """Canonical edges as (u, v) tuples, u < v, in canonical order."""
+    return list(zip(g.edge_u.tolist(), g.edge_v.tolist()))
+
+
+def labelled_edges(g: Graph) -> set[tuple[int, int]]:
+    """Canonical edge set in the vertex ids of the input file."""
+    labels = g.labels if g.labels is not None else np.arange(g.n)
+    return {(min(a, b), max(a, b))
+            for a, b in zip(labels[g.edge_u].tolist(), labels[g.edge_v].tolist())}
+
+
+def edge_weight(g: Graph, u: int, v: int) -> float:
+    """Weight of edge (u, v), 1.0 on an unweighted graph; KeyError when absent."""
+    pos = int(g.edge_positions([u], [v])[0])
+    if pos < 0:
+        raise KeyError(f"no edge ({u}, {v})")
+    return float(g.weights[pos]) if g.is_weighted else 1.0
+
+
+def weighted_total_by_enumeration(g: Graph) -> float:
+    """Sum of triangle weight products from raw weight lookups."""
     total = 0.0
     for u, v, w in triangles_by_enumeration(g):
-        ws = [g.edge_weight(u, v), g.edge_weight(u, w), g.edge_weight(v, w)]
-        if convention == "product":
-            total += ws[0] * ws[1] * ws[2]
-        elif convention == "sum":
-            total += sum(ws)
-        else:
-            raise ValueError(convention)
+        total += edge_weight(g, u, v) * edge_weight(g, u, w) * edge_weight(g, v, w)
     return total
+
+
+def star(leaves: int) -> Graph:
+    """Hub 0 joined to vertices 1..leaves."""
+    return Graph.build(leaves + 1, [0] * leaves, list(range(1, leaves + 1)))
+
+
+def with_isolated(g: Graph, shift: int, extra: int) -> Graph:
+    """g with its vertices moved up by ``shift``, plus ``shift + extra``
+    isolated vertices around them."""
+    return Graph.build(g.n + shift + extra, g.edge_u + shift, g.edge_v + shift)
 
 
 def subgraph_without_edge(g: Graph, i: int) -> Graph:
@@ -135,7 +160,7 @@ def _survival_patterns(g: Graph, p: float,
         mask = 0
         for a, b in sides:
             mask |= 1 << int(g.edge_positions([a], [b])[0])
-        value = float(np.prod([g.edge_weight(a, b) for a, b in sides])) if weighted else 1
+        value = float(np.prod([edge_weight(g, a, b) for a, b in sides])) if weighted else 1
         total += value * ((patterns & np.uint32(mask)) == np.uint32(mask))
 
     popcount = np.zeros(patterns.size, dtype=np.int64)
@@ -240,6 +265,7 @@ def naive_exhaustive_mean(g: Graph, indicator) -> float:
 def buriol_exhaustive_mean(g: Graph) -> float:
     """Average single-trial edge-plus-node estimate over all m*(n-2) pairs."""
     n, m = g.n, g.m
+    adj = adjacency_sets(g)
     hits = 0
     for i in range(m):
         u = int(g.edge_u[i])
@@ -247,6 +273,6 @@ def buriol_exhaustive_mean(g: Graph) -> float:
         for k in range(n):
             if k == u or k == v:
                 continue
-            if g.has_edge(u, k) and g.has_edge(k, v):
+            if k in adj[u] and k in adj[v]:
                 hits += 1
     return (hits / (m * (n - 2))) * m * (n - 2) / 3.0

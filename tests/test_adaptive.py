@@ -1,4 +1,5 @@
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -16,6 +17,7 @@ from trisparse import (
     default_p0,
     doubling_search,
     estimate_triangles,
+    exact,
     gnp,
     recommend_p,
     trial_seed,
@@ -279,14 +281,32 @@ class TestRunTrials:
             [(e.params, e.estimate, e.t_prime) for e in four]
         assert len({e.estimate for e in one}) > 1
 
-    @pytest.mark.parametrize("counter", ["node", "edge"])
-    def test_each_trial_is_a_direct_estimate(self, counter):
+    def test_each_trial_is_a_direct_estimate(self):
         g = gnp(200, 0.15, 9)
-        trials = run_trials(g, 0.4, 3, 7, 5, counter=counter)
+        trials = run_trials(g, 0.4, 3, 7, 5)
         for j, est in enumerate(trials):
-            direct = estimate_triangles(g, SparsifyParams(0.4, trial_seed(3, 7, j)), counter)
+            direct = estimate_triangles(g, SparsifyParams(0.4, trial_seed(3, 7, j)))
             assert (est.params, est.surviving_edges, est.t_prime, est.estimate) == \
                 (direct.params, direct.surviving_edges, direct.t_prime, direct.estimate)
+
+    def test_forward_positions_built_once_under_thread_stress(self):
+        # trials share the graph's cached forward positions; with more
+        # workers than cores and frequent thread switches, the first rung
+        # must build them once and every trial must still match a serial run
+        old = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for seed in range(4):
+                # big enough that building the positions overlaps other trials
+                g = gnp(1000, 0.05, seed)
+                exact._forward_positions.cache_clear()
+                many = run_trials(g, 0.5, seed, 0, 16, threads=8)
+                assert exact._forward_positions.cache_info().misses == 1
+                one = run_trials(g, 0.5, seed, 0, 16, threads=1)
+                assert [(e.surviving_edges, e.t_prime) for e in many] == \
+                    [(e.surviving_edges, e.t_prime) for e in one]
+        finally:
+            sys.setswitchinterval(old)
 
     @pytest.mark.parametrize("threads", [0, -3])
     def test_thread_count_below_one_rejected(self, threads):

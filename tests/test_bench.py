@@ -7,7 +7,6 @@ import pytest
 from trisparse import ExperimentRecord, SpeedupSummary, expected_speedup
 from trisparse.bench import (
     format_table,
-    load_json_report,
     make_payload,
     write_json_report,
 )
@@ -56,7 +55,7 @@ class TestReports:
                                [rec], summary={"r": 10})
         path = tmp_path / "report.json"
         write_json_report(path, payload)
-        assert load_json_report(path) == payload
+        assert json.loads(path.read_text(encoding="utf-8")) == payload
         assert json.loads(json.dumps(payload)) == payload
 
     def test_schema_version_present(self):

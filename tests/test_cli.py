@@ -2,10 +2,16 @@ import json
 
 import pytest
 
+from oracles import labelled_edges
 from trisparse import load_edge_list
 from trisparse.adaptive import trial_seed
-from trisparse.bench import load_json_report
+from trisparse import cli
 from trisparse.cli import main
+
+
+def _read_report(path):
+    with open(path, encoding="utf-8") as fh:
+        return json.load(fh)
 
 
 def _gen(tmp_path, spec, name="g.txt", seed=0):
@@ -28,7 +34,7 @@ class TestGen:
         report = tmp_path / "gen.json"
         assert main(["gen", "book:5", "-o", str(tmp_path / "b.txt"),
                      "--json", str(report)]) == 0
-        payload = load_json_report(report)
+        payload = _read_report(report)
         assert payload["graph"]["n"] == 7
         assert payload["summary"]["stats"]["m"] == 11
 
@@ -40,7 +46,7 @@ class TestCount:
         report = tmp_path / "r.json"
         assert main(["count", str(path), "--json", str(report)]) == 0
         out = capsys.readouterr().out
-        payload = load_json_report(report)
+        payload = _read_report(report)
         assert payload["summary"]["t"] == 4
         assert "4" in out
 
@@ -48,7 +54,7 @@ class TestCount:
         path = _gen(tmp_path, "gnp:30:0.3", seed=5)
         report = tmp_path / "r.json"
         assert main(["count", str(path), "--census", "--json", str(report)]) == 0
-        payload = load_json_report(report)
+        payload = _read_report(report)
         c = payload["summary"]["census"]
         n, m = payload["graph"]["n"], payload["graph"]["m"]
         from math import comb
@@ -61,14 +67,14 @@ class TestCount:
         for algo in ("node", "edge", "brute"):
             report = tmp_path / f"{algo}.json"
             assert main(["count", str(path), "--algo", algo, "--json", str(report)]) == 0
-            results[algo] = load_json_report(report)["summary"]["t"]
+            results[algo] = _read_report(report)["summary"]["t"]
         assert len(set(results.values())) == 1
 
     def test_delta_flag(self, tmp_path):
         path = _gen(tmp_path, "book:3")
         report = tmp_path / "r.json"
         assert main(["count", str(path), "--delta", "--json", str(report)]) == 0
-        payload = load_json_report(report)
+        payload = _read_report(report)
         assert payload["summary"]["delta_per_edge"]["0-1"] == 3
 
     def test_weighted_total(self, tmp_path):
@@ -76,7 +82,7 @@ class TestCount:
         report = tmp_path / "r.json"
         assert main(["count", str(path), "--weighted", "--json", str(report)]) == 0
         # one heavy triangle (10*10) plus two unit triangles
-        assert load_json_report(report)["summary"]["weighted_triangle_total"] == 102.0
+        assert _read_report(report)["summary"]["weighted_triangle_total"] == 102.0
 
     def test_missing_file(self, tmp_path):
         assert main(["count", str(tmp_path / "nope.txt")]) == 1
@@ -88,7 +94,7 @@ class TestEstimate:
         report = tmp_path / "r.json"
         assert main(["estimate", str(path), "--p", "1", "--seed", "0",
                      "--json", str(report)]) == 0
-        payload = load_json_report(report)
+        payload = _read_report(report)
         assert payload["records"][0]["ratio"] == 1.0
         assert payload["summary"]["mean_ratio"] == 1.0
 
@@ -99,7 +105,7 @@ class TestEstimate:
             report = tmp_path / name
             assert main(["estimate", str(path), "--p", "0.4", "--seed", "11",
                          "--runs", "4", "--json", str(report)]) == 0
-            reports.append(load_json_report(report))
+            reports.append(_read_report(report))
         ests = [[r["estimate"] for r in p["records"]] for p in reports]
         assert ests[0] == ests[1]
 
@@ -110,7 +116,7 @@ class TestEstimate:
         assert main(["estimate", str(path), "--p", "0.5", "--seed", "2",
                      "--runs", "3", "--json", str(report)]) == 0
         out = capsys.readouterr().out
-        payload = load_json_report(report)
+        payload = _read_report(report)
         for rec in payload["records"]:
             for value in (rec["estimate"], rec["ratio"], rec["parameters"]["t_prime"]):
                 if value is not None:
@@ -125,7 +131,7 @@ class TestEstimate:
                      "--save-sparsified", str(sparse_path)]) == 0
         g = load_edge_list(path)
         gp = load_edge_list(sparse_path)
-        assert gp.edges_as_labels() <= g.edges_as_labels()
+        assert labelled_edges(gp) <= labelled_edges(g)
         assert gp.m < g.m
 
     def test_bad_p(self, tmp_path):
@@ -144,7 +150,7 @@ class TestAdaptive:
         report = tmp_path / "r.json"
         assert main(["adaptive", str(path), "--p0", "0.2", "--seed", "4",
                      "--threads", "1", "--json", str(report)]) == 0
-        payload = load_json_report(report)
+        payload = _read_report(report)
         summary = payload["summary"]["adaptive"]
         assert summary["p_star"] <= 1.0
         assert summary["trace"][0]["p"] == 0.2
@@ -159,7 +165,7 @@ class TestAdaptive:
         report = tmp_path / "r.json"
         assert main(["adaptive", str(path), "--p0", "0.5", "--seed", "0",
                      "--skip-exact", "--threads", "1", "--json", str(report)]) == 0
-        payload = load_json_report(report)
+        payload = _read_report(report)
         assert payload["records"][0]["exact_t"] is None
         assert payload["records"][0]["ratio"] is None
 
@@ -170,7 +176,7 @@ class TestAdaptive:
         report = tmp_path / "r.json"
         assert main(["adaptive", str(path), "--seed", "1", "--threads", "1",
                      "--json", str(report)]) == 0
-        payload = load_json_report(report)
+        payload = _read_report(report)
         p_star = payload["summary"]["adaptive"]["p_star"]
         assert p_star < 1.0
         assert abs(payload["records"][0]["ratio"] - 1.0) <= 0.1
@@ -185,7 +191,7 @@ class TestBaseline:
         report = tmp_path / "r.json"
         assert main(["baseline", str(path), "--method", "naive", "--r", "50",
                      "--json", str(report)]) == 0
-        payload = load_json_report(report)
+        payload = _read_report(report)
         assert payload["records"][0]["estimate"] == 10.0
         assert payload["records"][0]["ratio"] == 1.0
 
@@ -194,7 +200,7 @@ class TestBaseline:
         report = tmp_path / "r.json"
         assert main(["baseline", str(path), "--method", "buriol",
                      "--epsilon", "0.5", "--delta", "0.5", "--json", str(report)]) == 0
-        payload = load_json_report(report)
+        payload = _read_report(report)
         assert payload["summary"]["budget"]["r"] == payload["records"][0]["parameters"]["r"]
 
     def test_budget_over_cap_reports_without_running(self, tmp_path):
@@ -204,7 +210,7 @@ class TestBaseline:
                      "--epsilon", "0.01", "--delta", "0.01",
                      "--max-r", "1000", "--json", str(report)])
         assert code == 0
-        payload = load_json_report(report)
+        payload = _read_report(report)
         assert payload["summary"]["ran"] is False
         assert payload["summary"]["budget"]["r"] > 1000
         assert payload["records"] == []
@@ -222,7 +228,7 @@ class TestBench:
         assert main(["bench", str(path), "--seed", "0",
                      "--threads", "1", "--baseline-r", "5000",
                      "--json", str(report)]) == 0
-        payload = load_json_report(report)
+        payload = _read_report(report)
         methods = {r["method"] for r in payload["records"]}
         assert {"exact_node", "exact_edge", "adaptive", "doulion"} <= methods
         exact = [r for r in payload["records"] if r["method"] == "exact_node"][0]
@@ -251,7 +257,7 @@ class TestThreadIndependence:
             report = tmp_path / f"r{threads}.json"
             assert main([argv[0], str(path), *argv[1:], "--threads", threads,
                          "--json", str(report)]) == 0
-            payloads.append(_without_timings(load_json_report(report)))
+            payloads.append(_without_timings(_read_report(report)))
         assert payloads[0] == payloads[1]
         records = payloads[0][0]
         # sampled records, not only exact ones, are compared
@@ -266,7 +272,7 @@ class TestTrialSeeds:
             report = tmp_path / f"{argv[0]}.json"
             assert main([argv[0], str(path), *argv[1:], "--seed", "21", "--threads", "2",
                          "--json", str(report)]) == 0
-            seeds = [r["seed"] for r in load_json_report(report)["records"]
+            seeds = [r["seed"] for r in _read_report(report)["records"]
                      if r["method"] == "doulion"]
             assert len(seeds) >= 3
             assert seeds == [trial_seed(21, batch, k) for k in range(len(seeds))]
@@ -364,7 +370,7 @@ class TestReportSchema:
         else:
             path = _gen(tmp_path, spec, seed=9)
             assert main([argv[0], str(path), *argv[1:], "--json", str(report)]) == 0
-        assert _keys(load_json_report(report)) == expected
+        assert _keys(_read_report(report)) == expected
 
 
 class TestArgumentErrors:
@@ -394,3 +400,24 @@ class TestArgumentErrors:
         assert main([argv[0], str(path), *argv[1:], "--threads", threads]) == 1
         assert capsys.readouterr().err == \
             f"error: thread count must be at least 1, got {threads}\n"
+
+    @pytest.mark.parametrize("argv,message", [
+        (["estimate", "--p", "1.5", "--seed", "0"],
+         "retention probability must lie in (0, 1], got 1.5"),
+        (["estimate", "--p", "0.5", "--seed", "0", "--runs", "0"],
+         "--runs must be at least 1, got 0"),
+        (["estimate", "--p", "0.5", "--seed", "0", "--threads", "0"],
+         "thread count must be at least 1, got 0"),
+        (["adaptive", "--p0", "1.5"], "starting rate must lie in (0, 1], got 1.5"),
+        (["adaptive", "--runs", "1"], "need at least 2 trials per rate, got 1"),
+        (["adaptive", "--threshold", "0"], "spread threshold must be positive, got 0.0"),
+        (["adaptive", "--threads", "0"], "thread count must be at least 1, got 0"),
+        (["bench", "--threads", "-1"], "thread count must be at least 1, got -1"),
+    ], ids=["estimate-p", "estimate-runs", "estimate-threads", "adaptive-p0", "adaptive-runs",
+            "adaptive-threshold", "adaptive-threads", "bench-threads"])
+    def test_bad_arguments_fail_before_loading(self, monkeypatch, capsys, argv, message):
+        def no_load(*args, **kwargs):
+            raise AssertionError("the graph was loaded")
+        monkeypatch.setattr(cli, "load_edge_list", no_load)
+        assert main([argv[0], "graph.txt", *argv[1:]]) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"

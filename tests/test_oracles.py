@@ -8,6 +8,7 @@ import pytest
 
 from oracles import (
     edge_triangle_counts,
+    edge_weight,
     exhaustive_sparsify_moments,
     normal_range_cdf,
     shared_edge_pairs,
@@ -85,7 +86,7 @@ class TestWeightedBookRsd:
             params = SparsifyParams(p=0.5, seed=seed)
             keep = survival_mask(g.m, params)
             alive = {(int(u), int(v)) for u, v in zip(g.edge_u[keep], g.edge_v[keep])}
-            value = sum(g.edge_weight(0, s) * g.edge_weight(1, s)
+            value = sum(edge_weight(g, 0, s) * edge_weight(g, 1, s)
                         for s in range(2, 6) if {(0, 1), (0, s), (1, s)} <= alive)
             assert estimate_weighted_triangles(g, params).estimate == pytest.approx(
                 value / 0.5 ** 3, rel=1e-12)

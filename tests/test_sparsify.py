@@ -1,19 +1,29 @@
+import importlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import exhaustive_sparsify_expectation, weighted_total_by_enumeration
+from oracles import (
+    edge_weight,
+    exhaustive_sparsify_expectation,
+    star,
+    weighted_total_by_enumeration,
+    with_isolated,
+)
 from trisparse import (
     Graph,
     SparsifyParams,
     book,
     complete,
     count_brute_force,
+    count_edge_iterator,
     count_triangles,
     count_weighted_triangles,
     estimate_triangles,
     estimate_weighted_triangles,
+    exact,
     gnp,
     sparsify,
     survival_mask,
@@ -21,6 +31,9 @@ from trisparse import (
     weighted_book,
     weighted_sparsify,
 )
+
+# the package's own ``sparsify`` attribute is the function
+sparsify_module = importlib.import_module("trisparse.sparsify")
 
 TRIANGLE = Graph.build(3, [0, 0, 1], [1, 2, 2])
 
@@ -116,15 +129,83 @@ class TestEstimate:
             for k in range(seeds))
         assert zeros / seeds >= 0.85
 
-    def test_counter_choice_matches(self):
-        g = gnp(60, 0.25, 6)
-        params = SparsifyParams(p=0.5, seed=3)
-        assert estimate_triangles(g, params, "node").t_prime == \
-            estimate_triangles(g, params, "edge").t_prime
 
-    def test_bad_counter(self):
+def _sample_reference(g: Graph, params: SparsifyParams) -> tuple[int, int]:
+    """(surviving edges, t') of the trial counted on the sparsified Graph."""
+    sample = sparsify(g, params)
+    return sample.m, count_edge_iterator(sample).t
+
+
+def _assert_trial_matches_sample(g: Graph, params: SparsifyParams) -> None:
+    est = estimate_triangles(g, params)
+    assert (est.surviving_edges, est.t_prime) == _sample_reference(g, params)
+    if g.n <= 60:
+        assert est.t_prime == count_brute_force(sparsify(g, params))
+
+
+@st.composite
+def _graphs(draw):
+    n = draw(st.integers(0, 60))
+    if n < 2:
+        return Graph.build(n, [], [])
+    pairs = draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)),
+                          max_size=6 * n))
+    return Graph.build(n, [u for u, _ in pairs], [v for _, v in pairs])
+
+
+SHAPES = {
+    "star": star(30), "book": book(40), "complete": complete(12),
+    "null": Graph.build(0, [], []), "empty": Graph.build(6, [], []),
+    "complete-isolated": with_isolated(complete(6), 7, 9),
+    "book-isolated": with_isolated(book(8), 3, 20), "gnp": gnp(60, 0.3, 5),
+}
+
+
+class TestMaskedTrial:
+    """A trial counts the survival mask on the parent's forward CSR; it
+    must give the surviving edge count and t' of the sparsified Graph."""
+
+    @given(g=_graphs(), p=st.floats(0.01, 1.0), seed=st.integers(0, 10**6))
+    @settings(max_examples=120, deadline=None)
+    def test_matches_sparsified_graph(self, g, p, seed):
+        _assert_trial_matches_sample(g, SparsifyParams(p=p, seed=seed))
+
+    @pytest.mark.parametrize("name", SHAPES)
+    @pytest.mark.parametrize("p", [0.3, 0.7, 1.0])
+    def test_shapes(self, name, p):
+        for seed in range(5):
+            _assert_trial_matches_sample(SHAPES[name], SparsifyParams(p=p, seed=seed))
+
+    @pytest.mark.parametrize("keep", [True, False], ids=["all", "none"])
+    @pytest.mark.parametrize("name", SHAPES)
+    def test_masks_keeping_all_or_no_edges(self, name, keep, monkeypatch):
+        monkeypatch.setattr(sparsify_module, "survival_mask",
+                            lambda m, params: np.full(m, keep))
+        g = SHAPES[name]
+        est = estimate_triangles(g, SparsifyParams(p=0.5, seed=0))
+        assert (est.surviving_edges, est.t_prime) == \
+            ((g.m, count_brute_force(g)) if keep else (0, 0))
+        assert (est.surviving_edges, est.t_prime) == _sample_reference(g, est.params)
+
+    @pytest.mark.parametrize("name", ["star", "book", "complete", "gnp"])
+    def test_wedge_chunk_of_three(self, name, monkeypatch):
+        monkeypatch.setattr(exact, "WEDGE_CHUNK", 3)
+        for p in (0.6, 1.0):
+            _assert_trial_matches_sample(SHAPES[name], SparsifyParams(p=p, seed=4))
+
+    def test_builds_no_graph(self, monkeypatch):
+        g = gnp(80, 0.3, 2)
+        want = [estimate_triangles(g, SparsifyParams(p=0.5, seed=s)).t_prime for s in range(3)]
+
+        def no_build(*args, **kwargs):
+            raise AssertionError("a trial built a Graph")
+        monkeypatch.setattr(Graph, "build", no_build)
+        assert [estimate_triangles(g, SparsifyParams(p=0.5, seed=s)).t_prime
+                for s in range(3)] == want
+
+    def test_rejects_weighted(self):
         with pytest.raises(ValueError):
-            estimate_triangles(complete(4), SparsifyParams(p=0.5), counter="brute")
+            estimate_triangles(weighted_book(3, 2.0), SparsifyParams(p=0.5))
 
 
 class TestExhaustiveUnbiasedness:
@@ -148,14 +229,14 @@ class TestWeighted:
         g = Graph.build(2, [0], [1], weights=[50.0])
         gp = weighted_sparsify(g, SparsifyParams(p=0.25, seed=1))
         if gp.m:  # the one edge survived under this seed
-            assert gp.edge_weight(0, 1) == 200.0
+            assert edge_weight(gp, 0, 1) == 200.0
 
     def test_reweighting_definite(self):
         g = Graph.build(2, [0], [1], weights=[50.0])
         for seed in range(50):
             gp = weighted_sparsify(g, SparsifyParams(p=0.25, seed=seed))
             if gp.m:
-                assert gp.edge_weight(0, 1) == 200.0
+                assert edge_weight(gp, 0, 1) == 200.0
                 return
         pytest.fail("edge never survived in 50 seeds at p=0.25")
 
@@ -171,14 +252,10 @@ class TestWeighted:
     def test_single_triangle_product_value(self):
         g = Graph.build(3, [0, 0, 1], [1, 2, 2], weights=[1.0, 1.0, 7.0])
         assert count_weighted_triangles(g) == 7.0
-        assert count_weighted_triangles(g, convention="sum") == 9.0
 
     def test_weighted_total_matches_enumeration(self):
         g = weighted_book(5, 10.0)
-        assert count_weighted_triangles(g) == pytest.approx(
-            weighted_total_by_enumeration(g, "product"))
-        assert count_weighted_triangles(g, convention="sum") == pytest.approx(
-            weighted_total_by_enumeration(g, "sum"))
+        assert count_weighted_triangles(g) == pytest.approx(weighted_total_by_enumeration(g))
 
     def test_weighted_estimate_unbiased_within_five_se(self):
         # product convention: each surviving triangle contributes its old
@@ -191,7 +268,3 @@ class TestWeighted:
             for k in range(seeds)])
         se = vals.std(ddof=1) / seeds ** 0.5
         assert abs(vals.mean() - truth) <= 5 * se
-
-    def test_unknown_convention(self):
-        with pytest.raises(ValueError):
-            count_weighted_triangles(weighted_book(3, 2.0), convention="max")
