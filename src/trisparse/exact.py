@@ -3,9 +3,7 @@ triple census and the global transitivity ratio."""
 
 from __future__ import annotations
 
-import functools
 import itertools
-import threading
 from dataclasses import dataclass
 from math import comb
 
@@ -53,54 +51,16 @@ def _require_unweighted(g: Graph, what: str) -> None:
         raise ValueError(f"{what} expects an unweighted graph")
 
 
-def _kept_ptr(ptr: np.ndarray, keep: np.ndarray) -> np.ndarray:
-    """Row pointers ``ptr`` of a CSR once only entries where keep holds remain."""
-    kept = np.zeros(keep.size + 1, dtype=np.int64)
-    np.cumsum(keep, out=kept[1:])
-    return kept[ptr]
-
-
-def _forward_structure(g: Graph):
-    """Orient each edge from its lower to higher endpoint in
-    degree-then-id order; return the forward adjacency in CSR form and
-    the mask of symmetric CSR entries it keeps.
-
-    The symmetric CSR already lists every row in ascending id, so keeping
-    the forward entries in place yields ascending forward rows."""
-    n = g.n
-    deg = g.degrees
-    rank = deg * np.int64(n) + np.arange(n, dtype=np.int64)
-    keep = np.repeat(rank, deg) < rank[g.indices]
-    return _kept_ptr(g.indptr, keep), g.indices[keep], keep
-
-
-_FORWARD_LOCK = threading.Lock()
-
-
-@functools.lru_cache(maxsize=1)
-def _forward_positions(g: Graph):
-    """g's forward CSR plus the canonical edge position of each forward
-    entry; built once per graph and shared by all of its trials."""
-    fptr, fidx, keep = _forward_structure(g)
-    # entries (u, w) with u < w are the canonical edges in order; entries
-    # (w, u) are in canonical order stably sorted by the higher endpoint
-    upper = np.repeat(np.arange(g.n, dtype=np.int64), g.degrees) < g.indices
-    pos = np.empty(upper.size, dtype=np.int64)
-    pos[upper] = np.arange(g.m, dtype=np.int64)
-    pos[~upper] = np.argsort(g.edge_v, kind="stable")
-    return fptr, fidx, pos[keep]
-
-
 def forward_sample(g: Graph, mask: np.ndarray):
     """Forward CSR and sorted edge keys of the subgraph of g keeping the
     canonical edges where ``mask`` holds, without building it. g's vertex
     order is still a total order on the sample, so ``count_forward``
     finds each of its triangles once."""
     _require_unweighted(g, "forward_sample")
-    with _FORWARD_LOCK:
-        fptr, fidx, fpos = _forward_positions(g)
-    keep = mask[fpos]
-    return _kept_ptr(fptr, keep), fidx[keep], g.edge_keys[mask]
+    keep = mask[g.fpos]
+    kept = np.zeros(keep.size + 1, dtype=np.int64)
+    np.cumsum(keep, out=kept[1:])
+    return kept[g.fptr], g.fidx[keep], g.edge_keys[mask]
 
 
 def _slot_table(keys: np.ndarray, n: int) -> tuple[np.ndarray, int]:
@@ -177,8 +137,7 @@ def triangle_edge_positions(g: Graph) -> tuple[int, tuple[np.ndarray, np.ndarray
     """Triangle count plus, per triangle, the positions of its three edges
     in the canonical edge arrays. Works for weighted and unweighted graphs
     (weights are ignored; only the topology matters)."""
-    fptr, fidx = _forward_structure(g)[:2]
-    return _scan(g.n, fptr, fidx, g.edge_keys, collect=True)
+    return _scan(g.n, g.fptr, g.fidx, g.edge_keys, collect=True)
 
 
 def connected_triples(g: Graph) -> int:
@@ -224,15 +183,21 @@ def count_edge_iterator(g: Graph, *, edge_deltas: bool = False) -> TriangleStats
 
     The intersection size is the per-edge triangle count directly; the
     total over all edges is 3t since every triangle is seen from each of
-    its three edges.
+    its three edges. It builds its own symmetric neighbor lists, so it
+    shares no orientation with the node iterator and cross-checks it.
     """
     _require_unweighted(g, "count_edge_iterator")
-    m = g.m
+    n, m = g.n, g.m
+    src = np.concatenate([g.edge_u, g.edge_v])
+    dst = np.concatenate([g.edge_v, g.edge_u])
+    nbrs = dst[np.argsort(src * np.int64(n) + dst, kind="stable")]
+    ptr = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(np.bincount(src, minlength=n), out=ptr[1:])
     delta = np.zeros(m, dtype=np.int64)
     for i in range(m):
         u = int(g.edge_u[i])
         v = int(g.edge_v[i])
-        delta[i] = np.intersect1d(g.neighbors(u), g.neighbors(v),
+        delta[i] = np.intersect1d(nbrs[ptr[u]:ptr[u + 1]], nbrs[ptr[v]:ptr[v + 1]],
                                   assume_unique=True).size
     total = int(delta.sum())
     if total % 3:
@@ -248,7 +213,10 @@ def count_brute_force(g: Graph, *, limit: int = DEFAULT_BRUTE_LIMIT) -> int:
     _require_unweighted(g, "count_brute_force")
     if g.n > limit:
         raise ValueError(f"brute-force counter limited to n <= {limit}, got n = {g.n}")
-    adj = [set(g.neighbors(u).tolist()) for u in range(g.n)]
+    adj = [set() for _ in range(g.n)]
+    for u, v in zip(g.edge_u.tolist(), g.edge_v.tolist()):
+        adj[u].add(v)
+        adj[v].add(u)
     t = 0
     for u, v, w in itertools.combinations(range(g.n), 3):
         if v in adj[u] and w in adj[u] and w in adj[v]:
@@ -260,8 +228,7 @@ def count_triangles(g: Graph) -> int:
     """Triangle count only, skipping per-edge bookkeeping. The fast path
     for estimators that need nothing but t."""
     _require_unweighted(g, "count_triangles")
-    fptr, fidx = _forward_structure(g)[:2]
-    return count_forward(g.n, fptr, fidx, g.edge_keys)
+    return count_forward(g.n, g.fptr, g.fidx, g.edge_keys)
 
 
 def triple_census(g: Graph, t: int | None = None) -> TripleCensus:

@@ -1,4 +1,5 @@
-"""Immutable undirected simple graphs stored in CSR adjacency form."""
+"""Immutable undirected simple graphs: canonical edge arrays plus the
+degree-ordered forward CSR that the exact counters scan."""
 
 from __future__ import annotations
 
@@ -38,8 +39,11 @@ class GraphStats:
 class Graph:
     """Undirected simple graph with optional positive edge weights.
 
-    Edges are stored canonically (u < v) and sorted lexicographically;
-    neighbor lists are strictly ascending. All arrays are read-only, so
+    Edges are stored canonically (u < v) and sorted lexicographically.
+    Each edge is also stored once in the forward CSR ``fptr, fidx``,
+    oriented from its lower to its higher endpoint in degree-then-id
+    order, with strictly ascending rows; ``fpos`` gives the canonical
+    edge index of each forward entry. All arrays are read-only, so
     instances are safe to share across threads after construction.
     ``labels`` maps compact vertex ids back to the ids found in the input
     file; it is None for generated graphs.
@@ -48,8 +52,10 @@ class Graph:
     n: int
     edge_u: np.ndarray
     edge_v: np.ndarray
-    indptr: np.ndarray
-    indices: np.ndarray
+    fptr: np.ndarray
+    fidx: np.ndarray
+    fpos: np.ndarray
+    degrees: np.ndarray
     weights: np.ndarray | None = None
     labels: np.ndarray | None = None
 
@@ -62,16 +68,9 @@ class Graph:
         return self.weights is not None
 
     @cached_property
-    def degrees(self) -> np.ndarray:
-        return np.diff(self.indptr)
-
-    @cached_property
     def edge_keys(self) -> np.ndarray:
         """Sorted int64 keys u*n+v, one per canonical edge."""
         return self.edge_u * np.int64(self.n) + self.edge_v
-
-    def neighbors(self, u: int) -> np.ndarray:
-        return self.indices[self.indptr[u]:self.indptr[u + 1]]
 
     def edge_positions(self, us, vs) -> np.ndarray:
         """Positions of the (us[i], vs[i]) edges in the canonical edge
@@ -130,15 +129,17 @@ class Graph:
             if not np.all((w > 0) & (w < np.inf)):
                 raise ValueError("edge weights must be positive and finite")
 
-        m = edge_u_f.size
-        src = np.concatenate([edge_u_f, edge_v_f])
-        dst = np.concatenate([edge_v_f, edge_u_f])
-        # unique keys give the lexicographic order; stable sorts the sorted first half fastest
-        order = np.argsort(src * np.int64(n) + dst, kind="stable")
-        indices = dst[order]
-        indptr = np.zeros(n + 1, dtype=np.int64)
-        if m:
-            np.cumsum(np.bincount(src, minlength=n), out=indptr[1:])
+        degrees = np.bincount(edge_u_f, minlength=n) + np.bincount(edge_v_f, minlength=n)
+        rank = degrees * np.int64(n) + np.arange(n, dtype=np.int64)
+        forward = rank[edge_u_f] < rank[edge_v_f]
+        src = np.where(forward, edge_u_f, edge_v_f)
+        dst = np.where(forward, edge_v_f, edge_u_f)
+        # the keys are unique, so any sort gives the same permutation;
+        # stable is fastest where the canonical order is nearly forward order
+        fpos = np.argsort(src * np.int64(n) + dst, kind="stable")
+        fidx = dst[fpos]
+        fptr = np.zeros(n + 1, dtype=np.int64)
+        np.cumsum(np.bincount(src, minlength=n), out=fptr[1:])
 
         lab = None
         if labels is not None:
@@ -146,11 +147,11 @@ class Graph:
             if lab.size != n:
                 raise ValueError("labels array must have one entry per vertex")
 
-        for arr in (edge_u_f, edge_v_f, indices, indptr, w, lab):
+        for arr in (edge_u_f, edge_v_f, fptr, fidx, fpos, degrees, w, lab):
             if arr is not None:
                 arr.setflags(write=False)
-        return Graph(n=n, edge_u=edge_u_f, edge_v=edge_v_f, indptr=indptr,
-                     indices=indices, weights=w, labels=lab)
+        return Graph(n=n, edge_u=edge_u_f, edge_v=edge_v_f, fptr=fptr, fidx=fidx,
+                     fpos=fpos, degrees=degrees, weights=w, labels=lab)
 
 
 def load_edge_list(path, weighted: bool = False) -> Graph:
@@ -165,7 +166,14 @@ def load_edge_list(path, weighted: bool = False) -> Graph:
     third token is read as a positive, finite edge weight (defaults to 1.0
     when absent). Vertex ids must fit in int64.
     """
-    path = Path(path)
+    us, vs, ws, labels = _read_edge_list(Path(path), weighted)
+    return Graph.build(labels.size, us, vs, weights=ws, labels=labels)
+
+
+def _read_edge_list(path: Path, weighted: bool):
+    """Parse the file into compact endpoint arrays, the weights (None
+    unless weighted) and the labels. The per-line lists die on return,
+    so they are not alive while ``Graph.build`` runs."""
     compact: dict[int, int] = {}
     labels: list[int] = []
     us: list[int] = []
@@ -206,16 +214,12 @@ def load_edge_list(path, weighted: bool = False) -> Graph:
                     labels.append(x)
             us.append(compact[u])
             vs.append(compact[v])
-            ws.append(w)
+            if weighted:
+                ws.append(w)
 
-    n = len(labels)
-    return Graph.build(
-        n,
-        np.array(us, dtype=np.int64),
-        np.array(vs, dtype=np.int64),
-        weights=np.array(ws, dtype=np.float64) if weighted else None,
-        labels=np.array(labels, dtype=np.int64),
-    )
+    return (np.array(us, dtype=np.int64), np.array(vs, dtype=np.int64),
+            np.array(ws, dtype=np.float64) if weighted else None,
+            np.array(labels, dtype=np.int64))
 
 
 def write_edge_list(path, g: Graph) -> None:

@@ -19,7 +19,11 @@ from trisparse import Graph
 
 
 def adjacency_sets(g: Graph) -> list[set[int]]:
-    return [set(g.neighbors(u).tolist()) for u in range(g.n)]
+    adj: list[set[int]] = [set() for _ in range(g.n)]
+    for u, v in zip(g.edge_u.tolist(), g.edge_v.tolist()):
+        adj[u].add(v)
+        adj[v].add(u)
+    return adj
 
 
 def census_by_enumeration(g: Graph) -> tuple[int, int, int, int]:
@@ -97,6 +101,26 @@ def edge_subset_graph(g: Graph, mask: np.ndarray) -> Graph:
     return Graph.build(g.n, g.edge_u[mask], g.edge_v[mask])
 
 
+def forward_csr(g: Graph) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Reference for the forward CSR that ``Graph.build`` stores: vertices
+    ranked by an argsort of their degrees (ties by id), each canonical
+    edge pointing from its lower- to its higher-ranked endpoint, rows
+    sorted ascending. Returns fptr, fidx and fpos, the canonical edge
+    index of each forward entry."""
+    n = g.n
+    deg = np.bincount(np.concatenate([g.edge_u, g.edge_v]), minlength=n)
+    order = np.argsort(deg, kind="stable")
+    rank = np.empty(n, dtype=np.int64)
+    rank[order] = np.arange(n, dtype=np.int64)
+    forward = rank[g.edge_u] < rank[g.edge_v]
+    src = np.where(forward, g.edge_u, g.edge_v)
+    dst = np.where(forward, g.edge_v, g.edge_u)
+    fptr = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(np.bincount(src, minlength=n), out=fptr[1:])
+    fpos = np.lexsort((dst, src))
+    return fptr, dst[fpos], fpos
+
+
 def searchsorted_node_scan(g: Graph) -> tuple[int, tuple[np.ndarray, np.ndarray, np.ndarray]]:
     """The node-iterator scan the screened kernel replaced, kept as its
     reference: forward CSR by argsort in degree-then-id order, every wedge
@@ -107,16 +131,8 @@ def searchsorted_node_scan(g: Graph) -> tuple[int, tuple[np.ndarray, np.ndarray,
     empty = np.empty(0, dtype=np.int64)
     if m == 0 or n < 3:
         return 0, (empty, empty, empty)
-    order = np.argsort(g.degrees, kind="stable")
-    rank = np.empty(n, dtype=np.int64)
-    rank[order] = np.arange(n, dtype=np.int64)
-    forward = rank[g.edge_u] < rank[g.edge_v]
-    src = np.where(forward, g.edge_u, g.edge_v)
-    dst = np.where(forward, g.edge_v, g.edge_u)
-    fdeg = np.bincount(src, minlength=n).astype(np.int64)
-    fptr = np.zeros(n + 1, dtype=np.int64)
-    np.cumsum(fdeg, out=fptr[1:])
-    fidx = dst[np.argsort(src * np.int64(n) + dst)]
+    fptr, fidx, _ = forward_csr(g)
+    fdeg = np.diff(fptr)
     keys = g.edge_keys
     t = 0
     pos: list[list[np.ndarray]] = [[], [], []]

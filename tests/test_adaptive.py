@@ -17,7 +17,6 @@ from trisparse import (
     default_p0,
     doubling_search,
     estimate_triangles,
-    exact,
     gnp,
     recommend_p,
     trial_seed,
@@ -289,19 +288,17 @@ class TestRunTrials:
             assert (est.params, est.surviving_edges, est.t_prime, est.estimate) == \
                 (direct.params, direct.surviving_edges, direct.t_prime, direct.estimate)
 
-    def test_forward_positions_built_once_under_thread_stress(self):
-        # trials share the graph's cached forward positions; with more
-        # workers than cores and frequent thread switches, the first rung
-        # must build them once and every trial must still match a serial run
+    def test_trials_match_serial_under_thread_stress(self):
+        # trials share one immutable graph; with more workers than cores
+        # and frequent thread switches, every trial must still match a
+        # serial run
         old = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
             for seed in range(4):
-                # big enough that building the positions overlaps other trials
+                # big enough that concurrent trials overlap
                 g = gnp(1000, 0.05, seed)
-                exact._forward_positions.cache_clear()
                 many = run_trials(g, 0.5, seed, 0, 16, threads=8)
-                assert exact._forward_positions.cache_info().misses == 1
                 one = run_trials(g, 0.5, seed, 0, 16, threads=1)
                 assert [(e.surviving_edges, e.t_prime) for e in many] == \
                     [(e.surviving_edges, e.t_prime) for e in one]

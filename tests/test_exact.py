@@ -256,7 +256,7 @@ class TestScreenedKernel:
                              ids=["gnp", "complete", "book"])
     def test_classes_over_the_wedge_chunk(self, g, monkeypatch):
         monkeypatch.setattr(exact, "WEDGE_CHUNK", 3)
-        fdeg = np.diff(exact._forward_structure(g)[0])
+        fdeg = np.diff(g.fptr)
         per_class = np.bincount(fdeg) * np.array([f * (f - 1) // 2 for f in range(fdeg.max() + 1)])
         assert per_class.max() > exact.WEDGE_CHUNK
         _assert_kernel_matches_references(g)

@@ -1,9 +1,12 @@
+import dataclasses
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import edge_pairs, edge_weight, labelled_edges
+from oracles import edge_pairs, edge_weight, forward_csr, labelled_edges, star, with_isolated
 from trisparse import (
     EdgeListFormatError,
     Graph,
@@ -16,6 +19,7 @@ from trisparse import (
     weighted_book,
     write_edge_list,
 )
+from trisparse.graph import _MAX_VERTICES
 
 
 def _write(tmp_path, text, name="g.txt"):
@@ -106,19 +110,6 @@ class TestLoadEdgeList:
 
 
 class TestGraphInvariants:
-    @given(n=st.integers(2, 40), q=st.floats(0.0, 1.0), seed=st.integers(0, 10**6))
-    @settings(max_examples=60, deadline=None)
-    def test_adjacency_well_formed(self, n, q, seed):
-        g = gnp(n, q, seed)
-        deg = g.degrees
-        assert int(deg.sum()) == 2 * g.m
-        for u in range(g.n):
-            nbrs = g.neighbors(u)
-            assert np.all(np.diff(nbrs) > 0)  # strictly ascending
-            assert u not in nbrs
-            for v in nbrs.tolist():
-                assert u in g.neighbors(v)
-
     @given(n=st.integers(2, 30), q=st.floats(0.1, 0.9), seed=st.integers(0, 10**6))
     @settings(max_examples=40, deadline=None)
     def test_round_trip_preserves_labeled_edges(self, n, q, seed, tmp_path_factory):
@@ -137,11 +128,15 @@ class TestGraphInvariants:
         assert edge_weight(g2, g2.labels.tolist().index(0), g2.labels.tolist().index(2)) == 7.5
 
     def test_arrays_read_only(self):
-        g = complete(4)
-        with pytest.raises(ValueError):
-            g.edge_u[0] = 3
-        with pytest.raises(ValueError):
-            g.indices[0] = 3
+        g = Graph.build(4, [0, 0, 1, 2], [1, 2, 2, 3], weights=[1.0, 2.0, 3.0, 4.0],
+                        labels=[9, 8, 7, 6])
+        arrays = {f.name: getattr(g, f.name) for f in dataclasses.fields(g)
+                  if isinstance(getattr(g, f.name), np.ndarray)}
+        assert {"edge_u", "edge_v", "fptr", "fidx", "fpos", "degrees",
+                "weights", "labels"} <= arrays.keys()
+        for arr in arrays.values():
+            with pytest.raises(ValueError, match="read-only"):
+                arr[0] = 3
 
     def test_build_rejects_out_of_range_ids(self):
         with pytest.raises(ValueError):
@@ -171,6 +166,89 @@ class TestGraphInvariants:
         assert g.has_edges([0], [1])[0] and g.has_edges([1], [0])[0]
         assert not g.has_edges([2], [3])[0]
         assert list(g.has_edges([0, 2], [1, 3])) == [True, False]
+
+
+@st.composite
+def raw_graphs(draw):
+    """Graph.build input with relabelled ids, isolated vertices,
+    duplicate and reversed edges, self-loops, and optional weights and
+    labels; n = 0 and m = 0 included."""
+    n = draw(st.integers(0, 25))
+    pairs = draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)),
+                          max_size=80)) if n else []
+    perm = draw(st.permutations(range(n)))
+    us = [perm[u] for u, _ in pairs]
+    vs = [perm[v] for _, v in pairs]
+    weights = draw(st.none() | st.lists(st.floats(0.5, 8.0), min_size=len(pairs),
+                                        max_size=len(pairs)))
+    labels = draw(st.none() | st.lists(st.integers(-2**63, 2**63 - 1), min_size=n,
+                                       max_size=n, unique=True))
+    return Graph.build(n, us, vs, weights=weights, labels=labels)
+
+
+def _assert_forward_layout(g):
+    fptr, fidx, fpos = forward_csr(g)
+    for got, want in ((g.fptr, fptr), (g.fidx, fidx), (g.fpos, fpos)):
+        assert got.dtype == np.int64
+        assert np.array_equal(got, want)
+    assert g.degrees.dtype == np.int64
+    assert np.array_equal(
+        g.degrees, np.bincount(np.concatenate([g.edge_u, g.edge_v]), minlength=g.n))
+    assert np.array_equal(np.sort(g.fpos), np.arange(g.m))
+    # entry k joins the endpoints of canonical edge fpos[k]
+    src = np.repeat(np.arange(g.n), np.diff(g.fptr))
+    assert np.array_equal(np.minimum(src, g.fidx), g.edge_u[g.fpos])
+    assert np.array_equal(np.maximum(src, g.fidx), g.edge_v[g.fpos])
+
+
+class TestForwardLayout:
+    @given(g=raw_graphs())
+    @settings(max_examples=150, deadline=None)
+    def test_matches_reference(self, g):
+        _assert_forward_layout(g)
+
+    @pytest.mark.parametrize("g", [
+        Graph.build(0, [], []), Graph.build(6, [], []), Graph.build(3, [1, 2], [1, 2]),
+        complete(7), book(30), star(12), gnp(80, 0.2, 4), weighted_book(5, 3.0),
+        with_isolated(book(6), 3, 20),
+    ], ids=["null", "empty", "self-loops-only", "complete", "book", "star", "gnp",
+            "weighted-book", "book-isolated"])
+    def test_shapes(self, g):
+        _assert_forward_layout(g)
+
+
+class TestKeyArithmetic:
+    """u*n+v keys and degree-then-id ranks at the largest accepted n,
+    checked on the numbers alone: a graph that size cannot be built."""
+
+    def test_largest_rank_and_key_fit_in_int64(self):
+        n = _MAX_VERTICES
+        top_rank = (n - 1) * n + (n - 1)   # degree n-1, id n-1
+        top_key = (n - 2) * n + (n - 1)    # canonical edge (n-2, n-1)
+        assert top_rank <= 2**63 - 1 and top_key <= top_rank
+        assert (n + 1) * (n + 1) - 1 > 2**63 - 1  # the bound is tight
+        deg = np.array([n - 1], dtype=np.int64)
+        ids = np.array([n - 1], dtype=np.int64)
+        assert int((deg * np.int64(n) + ids)[0]) == top_rank
+
+    def test_divmod_recovers_endpoints(self):
+        n = _MAX_VERTICES
+        us = np.array([0, 0, n - 2, n // 2, 1], dtype=np.int64)
+        vs = np.array([1, n - 1, n - 1, n // 2 + 1, n - 1], dtype=np.int64)
+        keys = us * np.int64(n) + vs
+        assert [int(k) for k in keys] == [u * n + v for u, v in zip(us.tolist(), vs.tolist())]
+        a, b = np.divmod(keys, np.int64(n))
+        assert np.array_equal(a, us) and np.array_equal(b, vs)
+
+    def test_build_above_the_limit_raises_before_allocating(self):
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match="too large for int64 edge keys"):
+                Graph.build(_MAX_VERTICES + 1, [], [])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
 
 
 class TestGenerators:

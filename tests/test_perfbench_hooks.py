@@ -1,14 +1,19 @@
 """perfbench times the program by patching module attributes by name
 (``tracer.patch(module, "attr", ...)`` in ``perfbench/layers.py``). A
 refactor that drops or renames one of them would break the traced run or
-silently drop a layer, so every patched attribute must still exist."""
+silently drop a layer, so every patched attribute must still exist. The
+counters perfbench computes itself must also agree with the program."""
 
 import ast
 import importlib
+import sys
+import types
 from pathlib import Path
 
+import numpy as np
 import pytest
 
+from trisparse import count_triangles, generate
 from trisparse.graph import Graph
 
 LAYERS = Path(__file__).resolve().parent.parent / "perfbench" / "layers.py"
@@ -41,3 +46,29 @@ def test_patched_attribute_exists(owner, attr):
     # the tracer reads the attribute from the owner's own namespace
     assert attr in vars(target)
     assert callable(getattr(target, attr))
+
+
+def _load_read_only(name: str):
+    """Execute perfbench/<name>.py as a fresh module without importing it
+    through the import system, so no bytecode cache is written there."""
+    path = LAYERS.parent / f"{name}.py"
+    module = types.ModuleType(f"perfbench_{name}")
+    module.__file__ = str(path)
+    # dataclasses look their module up by name
+    sys.modules[module.__name__] = module
+    exec(compile(path.read_text(encoding="utf-8"), str(path), "exec"), module.__dict__)
+    return module
+
+
+BENCH_LAYERS = _load_read_only("layers")
+BENCH_WORKLOADS = _load_read_only("workloads")
+
+
+@pytest.mark.parametrize("spec", ["gnp:300:0.1", "gnp:60:0.5", "book:40", "complete:9"])
+def test_benchmark_counters_agree_with_the_program(spec):
+    # perfbench derives exact.wedges and exact.hit_ratio from its own
+    # orientation, and checks reports against its own reference count
+    g = generate(spec, seed=3)
+    f = np.diff(g.fptr)
+    assert BENCH_LAYERS.forward_wedges(g) == int((f * (f - 1) // 2).sum())
+    assert BENCH_WORKLOADS.reference_t(spec, g) == count_triangles(g)
