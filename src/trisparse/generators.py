@@ -6,6 +6,10 @@ import numpy as np
 
 from .graph import Graph
 
+# doubles drawn per rng.random call in gnp: 512 KiB stays in cache (blocks
+# of 2**22 doubles made gnp(10000, 0.02) 25% slower than one call per row)
+_GNP_BLOCK = 1 << 16
+
 
 def _book_edges(k: int) -> tuple[np.ndarray, np.ndarray]:
     """Canonical edge arrays of book(k): the hub edge (0, 1), then (0, s)
@@ -46,26 +50,26 @@ def weighted_book(k: int, heavy_weight: float) -> Graph:
 
 def gnp(n: int, q: float, seed: int = 0) -> Graph:
     """Erdos-Renyi G(n, q): each of the C(n,2) edges present with
-    probability q, independently. Deterministic for a fixed seed."""
+    probability q, independently. Deterministic for a fixed seed.
+
+    Pair (u, v), u < v, is present when its uniform draw is below q; the
+    draws follow the pairs in row-major order, ``_GNP_BLOCK`` at a time,
+    which gives the same doubles as one draw per row.
+    """
     if n <= 0:
         raise ValueError(f"vertex count must be positive, got {n}")
     if not 0.0 <= q <= 1.0:
         raise ValueError(f"edge probability must lie in [0, 1], got {q}")
     rng = np.random.default_rng(seed)
-    us = []
-    vs = []
-    for u in range(n - 1):
-        row = np.flatnonzero(rng.random(n - 1 - u) < q)
-        if row.size:
-            us.append(np.full(row.size, u, dtype=np.int64))
-            vs.append(u + 1 + row.astype(np.int64))
-    if us:
-        eu = np.concatenate(us)
-        ev = np.concatenate(vs)
-    else:
-        eu = np.empty(0, dtype=np.int64)
-        ev = np.empty(0, dtype=np.int64)
-    return Graph.build(n, eu, ev)
+    pairs = n * (n - 1) // 2
+    hits = [start + np.flatnonzero(rng.random(min(_GNP_BLOCK, pairs - start)) < q)
+            for start in range(0, pairs, _GNP_BLOCK)]
+    k = np.concatenate(hits) if hits else np.empty(0, dtype=np.int64)
+    # row u holds the pairs (u, u+1) ... (u, n-1) and starts at row_start[u]
+    row_start = np.zeros(n, dtype=np.int64)
+    np.cumsum(np.arange(n - 1, 0, -1, dtype=np.int64), out=row_start[1:])
+    eu = np.searchsorted(row_start, k, side="right") - 1
+    return Graph.build(n, eu, k - row_start[eu] + eu + 1)
 
 
 def complete(n: int) -> Graph:

@@ -3,6 +3,7 @@ degree-ordered forward CSR that the exact counters scan."""
 
 from __future__ import annotations
 
+import io
 import math
 from dataclasses import dataclass
 from functools import cached_property
@@ -172,15 +173,149 @@ def load_edge_list(path, weighted: bool = False) -> Graph:
 
 def _read_edge_list(path: Path, weighted: bool):
     """Parse the file into compact endpoint arrays, the weights (None
-    unless weighted) and the labels. The per-line lists die on return,
-    so they are not alive while ``Graph.build`` runs."""
+    unless weighted) and the labels.
+
+    Unweighted files of plain id pairs are parsed with numpy; any other
+    file goes through ``_parse_lines``, which also raises every format
+    error."""
+    data = path.read_bytes()
+    if not weighted:
+        # A slot per line holds every edge. Allocated before the parse
+        # frees its larger temporaries, these come from mmap (glibc raises
+        # its mmap threshold to the largest block freed), so their memory
+        # returns to the OS after Graph.build; allocated later they stay
+        # resident in the heap, 3.5 MiB on gnp(3000,0.05), and the
+        # commands that follow peak that much higher.
+        us = np.empty(data.count(b"\n") + 1, dtype=np.int64)
+        vs = np.empty_like(us)
+        ids = _vectorized_ids(data)
+        if ids is not None:
+            del data
+            m = ids.size // 2
+            labels = _compact_pairs(ids, us[:m], vs[:m])
+            return us[:m], vs[:m], None, labels
+    return _parse_lines(path, data, weighted)
+
+
+# the only bytes _vectorized_ids reads after the leading comment lines
+_PLAIN_BYTES = b"0123456789- \t\r\n"
+# 10**18 - 1 < 2**63 - 1, so numpy cannot overflow on ids this short
+_MAX_PLAIN_DIGITS = 18
+
+
+def _vectorized_ids(data: bytes) -> np.ndarray | None:
+    """The vertex ids of every edge line as one int64 array (u, v, u, v,
+    ...), or None unless the per-line parser provably reads the file the
+    same way.
+
+    That holds for ASCII files whose leading lines are blank or comments
+    and whose other lines hold exactly two ids of at most 18 digits,
+    separated by spaces or tabs, each with an optional leading '-', ended
+    by '\\n' or '\\r\\n'. A bare '\\r' (a line break in text mode), extra
+    columns, comments after the first edge, '+' or '_' in a token and
+    longer ids all return None.
+    """
+    start = _body_start(data)
+    returns = data.count(b"\r")
+    if (not data.isascii()
+            or data.translate(None, _PLAIN_BYTES) != data[:start].translate(None, _PLAIN_BYTES)
+            or returns and returns != data.count(b"\r\n")):
+        return None
+    body = data[start:]
+    tokens = _plain_pair_tokens(np.frombuffer(body, dtype=np.uint8))
+    if tokens is None:
+        return None
+    if not tokens:
+        return np.empty(0, dtype=np.int64)  # fromstring reads a blank body as [0]
+    ids = np.fromstring(body, dtype=np.int64, sep=" ")
+    return ids if ids.size == tokens else None
+
+
+def _plain_pair_tokens(buf: np.ndarray) -> int | None:
+    """The number of tokens in ``buf`` (bytes of ``_PLAIN_BYTES`` only), or
+    None unless every line is blank or holds two ids of at most 18 digits,
+    each '-' opening a token and followed by a digit."""
+    # word[i + 1]: byte i is part of a token; every separator is <= 32
+    word = np.zeros(buf.size + 2, dtype=bool)
+    np.greater(buf, 32, out=word[1:-1])
+    minus = np.flatnonzero(buf == ord("-"))
+    if minus.size and (word[minus].any() or minus[-1] == buf.size - 1
+                       or (buf[minus + 1] - ord("0") >= 10).any()):
+        return None  # a '-' inside a token or not followed by a digit
+    starts = np.flatnonzero(word[1:] > word[:-1])
+    digits = np.flatnonzero(word[1:] < word[:-1])
+    del word
+    digits -= starts
+    digits -= buf[starts] == ord("-")
+    if starts.size % 2 or (digits.size and digits.max() > _MAX_PLAIN_DIGITS):
+        return None
+    del digits
+    # tokens before each line break: even everywhere (no line holds one or
+    # three), and rising by 2 at most (no line holds four or more)
+    before = np.searchsorted(starts, np.flatnonzero(buf == ord("\n")))
+    if (before & 1).any() or np.diff(before, prepend=0, append=starts.size).max() > 2:
+        return None
+    return starts.size
+
+
+def _body_start(data: bytes) -> int:
+    """Offset of the first line that is neither blank nor a '#' or '%'
+    comment."""
+    start = 0
+    while start < len(data):
+        end = data.find(b"\n", start) + 1 or len(data)
+        line = data[start:end].strip(b" \t\r\n")
+        if line and line[0] not in b"#%":
+            break
+        start = end
+    return start
+
+
+def _compact_pairs(ids: np.ndarray, us: np.ndarray, vs: np.ndarray) -> np.ndarray:
+    """Write the endpoints of the (u, v, u, v, ...) ids, renumbered 0..n-1
+    in order of first appearance, to ``us`` and ``vs``; return the
+    original id of each number. Overwrites ``ids``."""
+    if not ids.size:
+        return ids
+    lo = int(ids.min())
+    span = int(ids.max()) - lo + 1
+    if span <= ids.size:
+        distinct, keys = None, np.subtract(ids, lo, out=ids)  # dense ids index a table
+    else:
+        distinct, keys = np.unique(ids, return_inverse=True)
+        span = distinct.size
+    first = np.full(span, ids.size, dtype=np.int64)
+    np.minimum.at(first, keys, np.arange(ids.size))
+    seen = np.flatnonzero(first < ids.size)
+    order = seen[np.argsort(first[seen])]
+    rank = np.empty(span, dtype=np.int64)
+    rank[order] = np.arange(order.size)
+    # mode="clip" writes straight into the output; every key is in range
+    rank.take(keys[0::2], out=us, mode="clip")
+    rank.take(keys[1::2], out=vs, mode="clip")
+    return order + lo if distinct is None else distinct[order]
+
+
+def _parse_lines(path: Path, data: bytes, weighted: bool):
+    """The per-line parser: reads ``data`` as the text-mode lines of a
+    UTF-8 file and returns what ``_read_edge_list`` does, raising
+    EdgeListFormatError with the line number on any malformed line. The
+    per-line lists die on return, so they are not alive while
+    ``Graph.build`` runs."""
+    try:
+        data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        head = data[:exc.start]
+        line_no = head.count(b"\n") + head.count(b"\r") - head.count(b"\r\n") + 1
+        raise EdgeListFormatError(
+            path, line_no, f"not UTF-8 text: {exc.reason} 0x{data[exc.start]:02x}") from None
     compact: dict[int, int] = {}
     labels: list[int] = []
     us: list[int] = []
     vs: list[int] = []
     ws: list[float] = []
 
-    with open(path, "r", encoding="utf-8") as fh:
+    with io.TextIOWrapper(io.BytesIO(data), encoding="utf-8") as fh:
         for line_no, raw in enumerate(fh, start=1):
             stripped = raw.strip()
             if not stripped or stripped[0] in "#%":

@@ -292,3 +292,15 @@ def buriol_exhaustive_mean(g: Graph) -> float:
             if k in adj[u] and k in adj[v]:
                 hits += 1
     return (hits / (m * (n - 2))) * m * (n - 2) / 3.0
+
+
+def gnp_by_rows(n: int, q: float, seed: int = 0) -> tuple[np.ndarray, np.ndarray]:
+    """Canonical edge arrays of ``gnp(n, q, seed)``, drawn one row of
+    pairs (u, u+1..n-1) per ``rng.random`` call."""
+    rng = np.random.default_rng(seed)
+    us, vs = [np.empty(0, dtype=np.int64)], [np.empty(0, dtype=np.int64)]
+    for u in range(n - 1):
+        row = np.flatnonzero(rng.random(n - 1 - u) < q)
+        us.append(np.full(row.size, u, dtype=np.int64))
+        vs.append(u + 1 + row.astype(np.int64))
+    return np.concatenate(us), np.concatenate(vs)

@@ -50,6 +50,13 @@ class TestCount:
         assert payload["summary"]["t"] == 4
         assert "4" in out
 
+    def test_non_utf8_input_fails_with_line_number(self, tmp_path, capsys):
+        path = tmp_path / "g.txt"
+        path.write_bytes(b"0 1\n1 2\xff\n")
+        assert main(["count", str(path)]) == 1
+        assert capsys.readouterr().err == \
+            f"error: {path}:2: not UTF-8 text: invalid start byte 0xff\n"
+
     def test_census_identities_in_json(self, tmp_path):
         path = _gen(tmp_path, "gnp:30:0.3", seed=5)
         report = tmp_path / "r.json"

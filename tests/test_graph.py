@@ -6,12 +6,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import edge_pairs, edge_weight, forward_csr, labelled_edges, star, with_isolated
+from oracles import (edge_pairs, edge_weight, forward_csr, gnp_by_rows, labelled_edges, star,
+                     with_isolated)
 from trisparse import (
     EdgeListFormatError,
     Graph,
     book,
     complete,
+    count_triangles,
     generate,
     gnp,
     load_edge_list,
@@ -19,6 +21,8 @@ from trisparse import (
     weighted_book,
     write_edge_list,
 )
+from trisparse import generators
+from trisparse import graph as graph_module
 from trisparse.graph import _MAX_VERTICES
 
 
@@ -107,6 +111,170 @@ class TestLoadEdgeList:
         assert g.n == 3
         assert g.m == 1
         assert stats(g).isolated == 1
+
+    @pytest.mark.parametrize("data,line_no", [
+        (b"0 1\n1 2\xff\n", 2),
+        (b"\xfe 1\n", 1),
+        (b"0 1\r1 2\r\n# caf\xc3\xa9\n2 \xe9\n", 4),
+    ], ids=["lf", "first-line", "cr-crlf-and-utf8-comment"])
+    def test_non_utf8_reports_line_number(self, tmp_path, data, line_no):
+        path = tmp_path / "g.txt"
+        path.write_bytes(data)
+        with pytest.raises(EdgeListFormatError) as exc:
+            load_edge_list(path)
+        assert exc.value.line_no == line_no
+        assert exc.value.reason.startswith("not UTF-8 text: ")
+
+
+def _outcome(load):
+    """The Graph ``load()`` returns, as plain lists, or the type, message
+    and line number of the EdgeListFormatError it raises."""
+    try:
+        g = load()
+    except EdgeListFormatError as exc:
+        return type(exc), str(exc), exc.line_no
+    return g.n, *(getattr(g, name).tolist() for name in
+                  ("edge_u", "edge_v", "fptr", "fidx", "fpos", "degrees", "labels"))
+
+
+def _line_parser_graph(path):
+    """What the per-line parser alone makes of ``path``."""
+    us, vs, _, labels = graph_module._parse_lines(path, path.read_bytes(), False)
+    return Graph.build(labels.size, us, vs, labels=labels)
+
+
+def _assert_paths_agree(path):
+    assert _outcome(lambda: load_edge_list(path)) == _outcome(lambda: _line_parser_graph(path))
+
+
+_blanks = st.text(" \t", max_size=3)
+_ends = st.sampled_from(["\n", "\r\n"])
+# the ids the vectorized path reads: at most 18 digits, leading zeros
+# and '-' included, and a few small ones so that lines share vertices
+_plain_ids = st.one_of(
+    st.integers(-5, 12).map(str),
+    st.builds(lambda x, width: ("-" if x < 0 else "") + str(abs(x)).zfill(width),
+              st.integers(-10**18 + 1, 10**18 - 1), st.integers(0, 18)),
+)
+_plain_lines = st.one_of(
+    st.builds(lambda a, u, sep, v, b, end: a + u + sep + v + b + end,
+              _blanks, _plain_ids, st.text(" \t", min_size=1, max_size=3), _plain_ids,
+              _blanks, _ends),
+    st.builds(lambda b, end: b + end, _blanks, _ends),
+)
+_header_lines = st.builds(lambda a, mark, text, end: a + mark + text + end,
+                          _blanks, st.sampled_from("#%"),
+                          st.text("abc 019\t#%-", max_size=12), _ends)
+# tokens the per-line parser reads or rejects in ways numpy must not copy
+_odd_ids = st.sampled_from([
+    "0", "1", "-1", "007", "-0", "+5", "1_000", "\u0663", "--1", "5-", "-", "1e3", "x", "0x1f",
+    str(10**18 - 1), str(-10**18 + 1), str(10**18), "9" * 19, "1" + "0" * 19,
+    str(2**63 - 1), str(-2**63), str(2**63), str(-2**63 - 1), "0" * 21 + "7",
+])
+_any_ids = st.one_of(_plain_ids, _odd_ids)
+_odd_lines = st.one_of(
+    _header_lines,
+    st.builds(lambda a, u, v, b, end: a + u + " " + v + b + end,
+              _blanks, _any_ids, _any_ids, _blanks, st.sampled_from(["\n", "\r\n", "\r", ""])),
+    st.builds(lambda u, v, extra: f"{u}\t{v} {extra}\n", _any_ids, _any_ids,
+              st.sampled_from(["2.5", "x", "# c", "9"])),
+    st.builds(lambda a, u: a + u + "\n", _blanks, _any_ids),
+    st.sampled_from(["\r", "\x0c", "\x0b\n", "\xa0", "\u2028", "\x00"]),
+)
+
+
+class TestVectorizedLoader:
+    """``load_edge_list`` parses plain files with numpy and everything else
+    with the per-line parser; both must give the same Graph or error."""
+
+    @given(header=st.lists(_header_lines, max_size=3), body=st.lists(_plain_lines, max_size=30),
+           cut_end=st.booleans())
+    @settings(max_examples=200, deadline=None)
+    def test_plain_files_take_the_vectorized_path(self, header, body, cut_end,
+                                                  tmp_path_factory):
+        text = "".join(header + body)
+        if cut_end:
+            text = text.rstrip("\r\n")
+        path = tmp_path_factory.mktemp("plain") / "g.txt"
+        path.write_bytes(text.encode())
+        assert graph_module._vectorized_ids(path.read_bytes()) is not None
+        _assert_paths_agree(path)
+
+    @given(lines=st.lists(_plain_lines, max_size=25),
+           odd=st.lists(st.tuples(st.integers(0, 25), _odd_lines), max_size=2),
+           raw=st.sampled_from([b"", b"", b"", b"\xff", b"\xc3"]))
+    @settings(max_examples=400, deadline=None)
+    def test_any_file_loads_as_the_line_parser_reads_it(self, lines, odd, raw,
+                                                        tmp_path_factory):
+        for at, line in odd:
+            lines.insert(at, line)
+        path = tmp_path_factory.mktemp("any") / "g.txt"
+        path.write_bytes("".join(lines).encode() + raw)
+        _assert_paths_agree(path)
+
+    @pytest.mark.parametrize("text", [
+        "", "\n", " \t\r\n", "# only a comment", "0 1", "0 1 2\n", "0\n1\n", "0 1 2 3\n",
+        "0 1\r2 3\n", "# c\r0 1\n", "0 1\n# late comment\n", "0 1\n\n\n2 3",
+        "-5 -6\n5 -0\n", "- 1\n", "1 -\n", "1 2-\n", "+1 2\n", "1_0 2\n", "01 1\n",
+        f"{2**63 - 1} {-2**63}\n", f"{2**63} 1\n", "9" * 19 + " 1\n", "0" * 19 + "1 1\n",
+        "1" * 18 + " -" + "1" * 18 + "\n", "1\t\t2\r\n3 \t4\t\r\n",
+    ])
+    def test_edge_cases_agree(self, tmp_path, text):
+        _assert_paths_agree(_write(tmp_path, text))
+
+    @pytest.mark.parametrize("text", [
+        "0 1 2\n", "0 1\r2 3\n", "+1 2\n", "1_0 2\n", "9" * 19 + " 1\n", "0 1\n# c\n",
+        "\u0663 1\n",
+    ])
+    def test_unusual_files_fall_back(self, tmp_path, text):
+        assert graph_module._vectorized_ids(_write(tmp_path, text).read_bytes()) is None
+
+    @pytest.mark.parametrize("body,tokens", [
+        (b"", 0), (b" \t\r\n\n", 0), (b"1 2", 2), (b"-1\t-22 \r\n\n 3 4\n", 4),
+        (b"5-3 1\n", None), (b"1 --2\n", None), (b"1 2-\n", None), (b"1 -\n", None),
+        (b"1\n2\n", None), (b"1 2 3\n", None), (b"1 2 3 4\n", None), (b"1 2\n3\n", None),
+        (b"1" * 19 + b" 2\n", None), (b"-" + b"1" * 18 + b" 2\n", 2),
+    ])
+    def test_shape_check(self, body, tokens):
+        assert graph_module._plain_pair_tokens(np.frombuffer(body, dtype=np.uint8)) == tokens
+
+    def test_weighted_files_use_the_line_parser(self, tmp_path, monkeypatch):
+        def refuse(data):
+            raise AssertionError("weighted input reached the vectorized path")
+        monkeypatch.setattr(graph_module, "_vectorized_ids", refuse)
+        g = load_edge_list(_write(tmp_path, "0 1 2.5\n1 2\n"), weighted=True)
+        assert g.weights.tolist() == [2.5, 1.0]
+
+
+class TestBenchmarkInputsTakeVectorizedPath:
+    """The benchmark's input files must never fall back to the per-line
+    parser: it is several times slower."""
+
+    @pytest.fixture(autouse=True)
+    def refuse_line_parser(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("fell back to the per-line parser")
+        monkeypatch.setattr(graph_module, "_parse_lines", refuse)
+
+    @pytest.mark.parametrize("g", [
+        gnp(300, 0.05, seed=301),
+        book(1000),
+        Graph.build(5, [0, 0, 1, 2, 3], [1, 2, 2, 3, 4],
+                    labels=[-7, 12, -10**17, 0, 10**18 - 1]),
+    ], ids=["gnp", "book", "labelled"])
+    def test_written_edge_lists(self, tmp_path, g):
+        path = tmp_path / "g.txt"
+        write_edge_list(path, g)
+        assert labelled_edges(load_edge_list(path)) == labelled_edges(g)
+
+    def test_snap_style_file(self, tmp_path):
+        text = ("# Directed graph (each unordered pair of nodes is saved once): g.txt\n"
+                "# Nodes: 4 Edges: 4\n"
+                "# FromNodeId\tToNodeId\n"
+                "10\t20\n20\t30\n30\t10\n30\t40\n")
+        g = load_edge_list(_write(tmp_path, text))
+        assert g.labels.tolist() == [10, 20, 30, 40]
+        assert labelled_edges(g) == {(10, 20), (20, 30), (10, 30), (30, 40)}
 
 
 class TestGraphInvariants:
@@ -269,6 +437,29 @@ class TestGenerators:
         a = gnp(100, 0.1, seed=12)
         b = gnp(100, 0.1, seed=12)
         assert np.array_equal(a.edge_keys, b.edge_keys)
+
+    @pytest.mark.parametrize("block", [1, 7, 100, generators._GNP_BLOCK])
+    @pytest.mark.parametrize("n,q,seed", [
+        (1, 0.5, 0), (2, 1.0, 0), (9, 0.0, 1), (9, 1.0, 1), (40, 0.3, 2), (61, 0.05, 3),
+    ])
+    def test_gnp_matches_row_by_row_draws(self, monkeypatch, block, n, q, seed):
+        monkeypatch.setattr(generators, "_GNP_BLOCK", block)
+        g = gnp(n, q, seed)
+        us, vs = gnp_by_rows(n, q, seed)
+        assert np.array_equal(g.edge_u, us)
+        assert np.array_equal(g.edge_v, vs)
+
+    def test_gnp_across_a_full_block_boundary(self):
+        # C(3000, 2) = 4498500 pairs: many whole blocks of draws and a partial one
+        assert 3000 * 2999 // 2 % generators._GNP_BLOCK
+        assert 3000 * 2999 // 2 > 2 * generators._GNP_BLOCK
+        g = gnp(3000, 0.05, seed=301)
+        us, vs = gnp_by_rows(3000, 0.05, seed=301)
+        assert np.array_equal(g.edge_u, us)
+        assert np.array_equal(g.edge_v, vs)
+
+    def test_gnp_keeps_its_triangle_count(self):
+        assert count_triangles(gnp(2000, 0.05, seed=3)) == 163156
 
     def test_gnp_mean_edges_within_five_se(self):
         # E[m] = q*C(n,2); 50 seeds at n=200, q=0.1
