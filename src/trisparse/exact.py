@@ -74,6 +74,20 @@ def _slot_table(keys: np.ndarray, n: int) -> tuple[np.ndarray, int]:
     return table, size - 1
 
 
+def _lookup(probe: np.ndarray, keys: np.ndarray, table: np.ndarray, mask: int):
+    """Screen-then-confirm membership of the ``probe`` keys among the
+    sorted ``keys``, given their ``_slot_table``. Returns idx, the probes
+    whose slot is set; cand, their keys; loc, their insertion points in
+    ``keys``; and hit, where ``keys[loc]`` is the probe itself. Only
+    ``idx[hit]`` are edges, so the answer is exact whatever the screen
+    passes."""
+    idx = np.flatnonzero(table[probe & mask])
+    cand = probe[idx]
+    loc = np.searchsorted(keys, cand)
+    np.minimum(loc, keys.size - 1, out=loc)
+    return idx, cand, loc, keys[loc] == cand
+
+
 def _scan(n: int, fptr: np.ndarray, fidx: np.ndarray, keys: np.ndarray, collect: bool):
     """Node-iterator core (forward / compact-forward, Schank & Wagner):
     for every vertex, test adjacency between pairs of its forward
@@ -87,7 +101,6 @@ def _scan(n: int, fptr: np.ndarray, fidx: np.ndarray, keys: np.ndarray, collect:
     giving, for every triangle, the positions in ``keys`` of its three
     edges (or None when not collected).
     """
-    m = keys.size
     fdeg = np.diff(fptr)
     table, mask = _slot_table(keys, n)
     t = 0
@@ -107,11 +120,7 @@ def _scan(n: int, fptr: np.ndarray, fidx: np.ndarray, keys: np.ndarray, collect:
             # rows ascend by id, so every pair already has a < b
             probe = (block * np.int64(n))[:, ii].reshape(-1)
             probe += block[:, jj].reshape(-1)
-            idx = np.flatnonzero(table[probe & mask])
-            cand = probe[idx]
-            loc = np.searchsorted(keys, cand)
-            np.minimum(loc, m - 1, out=loc)
-            hit = keys[loc] == cand
+            idx, cand, loc, hit = _lookup(probe, keys, table, mask)
             t += int(np.count_nonzero(hit))
             if collect and hit.any():
                 idx = idx[hit]
@@ -179,26 +188,49 @@ def count_node_iterator(g: Graph, *, edge_deltas: bool = False) -> TriangleStats
 
 
 def count_edge_iterator(g: Graph, *, edge_deltas: bool = False) -> TriangleStats:
-    """Exact count by intersecting the endpoint neighborhoods of every edge.
-
-    The intersection size is the per-edge triangle count directly; the
-    total over all edges is 3t since every triangle is seen from each of
-    its three edges. It builds its own symmetric neighbor lists, so it
-    shares no orientation with the node iterator and cross-checks it.
+    """Exact count by the hashed edge iterator (Schank & Wagner): every
+    neighbor w of an edge's lower-degree endpoint is probed against its
+    other endpoint through the screen-then-confirm lookup the node
+    iterator uses, here over the sorted keys of both directions of every
+    edge. An edge's hits are its triangle count; their total is 3t since
+    every triangle is seen from each of its three edges. It builds its
+    own symmetric neighbor lists from those keys, so it shares no
+    orientation with the node iterator and cross-checks it. It makes
+    sum min(deg u, deg v) probes, at most ``WEDGE_CHUNK`` per step, or
+    one edge's where that edge alone has more.
     """
     _require_unweighted(g, "count_edge_iterator")
     n, m = g.n, g.m
-    src = np.concatenate([g.edge_u, g.edge_v])
-    dst = np.concatenate([g.edge_v, g.edge_u])
-    nbrs = dst[np.argsort(src * np.int64(n) + dst, kind="stable")]
+    # sorted keys u*n+w of both directions of every edge: row u of them
+    # is N(u), ascending
+    keys = np.concatenate([g.edge_u * np.int64(n) + g.edge_v, g.edge_v * np.int64(n) + g.edge_u])
+    keys.sort()
+    deg = np.bincount(g.edge_u, minlength=n) + np.bincount(g.edge_v, minlength=n)
     ptr = np.zeros(n + 1, dtype=np.int64)
-    np.cumsum(np.bincount(src, minlength=n), out=ptr[1:])
+    np.cumsum(deg, out=ptr[1:])
+    swap = deg[g.edge_u] > deg[g.edge_v]
+    # edge i's probes are ends[i]:ends[i + 1] in the run of all probes
+    ends = np.zeros(m + 1, dtype=np.int64)
+    np.cumsum(np.minimum(deg[g.edge_u], deg[g.edge_v]), out=ends[1:])
+    table, mask = _slot_table(keys, n)
     delta = np.zeros(m, dtype=np.int64)
-    for i in range(m):
-        u = int(g.edge_u[i])
-        v = int(g.edge_v[i])
-        delta[i] = np.intersect1d(nbrs[ptr[u]:ptr[u + 1]], nbrs[ptr[v]:ptr[v + 1]],
-                                  assume_unique=True).size
+    a = 0
+    while a < m:
+        b = max(a + 1, int(np.searchsorted(ends, ends[a] + WEDGE_CHUNK, side="right")) - 1)
+        u, v = g.edge_u[a:b], g.edge_v[a:b]
+        lo = np.where(swap[a:b], v, u)
+        first = ends[a:b] - ends[a]
+        count = deg[lo]
+        probe = np.repeat(ptr[lo] - first, count)
+        probe += np.arange(probe.size)
+        probe = keys[probe]
+        # the key of (hi, w) is the key of (lo, w) plus (hi - lo) * n; an
+        # edge's probes ascend within row hi, so its searches share cache lines
+        probe += np.repeat((u + v - 2 * lo) * np.int64(n), count)
+        idx, _, _, hit = _lookup(probe, keys, table, mask)
+        edge = np.searchsorted(first, idx[hit], side="right") - 1
+        delta[a:b] = np.bincount(edge, minlength=b - a)
+        a = b
     total = int(delta.sum())
     if total % 3:
         raise AssertionError("edge-iterator invariant violated: sum of per-edge counts not divisible by 3")

@@ -1,4 +1,4 @@
-from dataclasses import astuple
+from dataclasses import astuple, replace
 
 import numpy as np
 import pytest
@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from oracles import (
     census_by_enumeration,
     edge_triangle_counts,
+    intersect_edge_deltas,
     searchsorted_node_scan,
     star,
     subgraph_without_edge,
@@ -260,3 +261,83 @@ class TestScreenedKernel:
         per_class = np.bincount(fdeg) * np.array([f * (f - 1) // 2 for f in range(fdeg.max() + 1)])
         assert per_class.max() > exact.WEDGE_CHUNK
         _assert_kernel_matches_references(g)
+
+
+def _assert_edge_deltas(g: Graph) -> None:
+    """The edge iterator's per-edge deltas against the intersect1d loop
+    it replaced and against the node iterator."""
+    edge = count_edge_iterator(g, edge_deltas=True)
+    node = count_node_iterator(g, edge_deltas=True)
+    assert edge.delta_per_edge == intersect_edge_deltas(g) == node.delta_per_edge
+    assert edge == node
+
+
+def _min_degree_probes(g: Graph) -> np.ndarray:
+    """Probes the edge iterator makes per canonical edge, min(deg u, deg v)."""
+    return np.minimum(g.degrees[g.edge_u], g.degrees[g.edge_v])
+
+
+_SHAPES = st.one_of(
+    st.builds(gnp, st.integers(1, 40), st.floats(0.0, 1.0), st.integers(0, 10**6)),
+    st.builds(star, st.integers(0, 40)),
+    st.builds(book, st.integers(1, 40)),
+    st.builds(complete, st.integers(1, 12)),
+    st.builds(with_isolated,
+              st.builds(gnp, st.integers(1, 20), st.floats(0.2, 1.0), st.integers(0, 10**6)),
+              st.integers(0, 10), st.integers(0, 10)),
+    _edge_lists().map(lambda graphs: graphs[0]),
+)
+
+
+class TestVectorizedEdgeIterator:
+    @given(g=_SHAPES)
+    @settings(max_examples=150, deadline=None)
+    def test_deltas_match_oracle_and_node_iterator(self, g):
+        _assert_edge_deltas(g)
+
+    @pytest.mark.parametrize("g", [
+        Graph.build(0, [], []), Graph.build(1, [], []), Graph.build(6, [], []),
+        star(0), Graph.build(2, [0], [1]),
+    ], ids=["n0", "n1", "m0", "star0", "one-edge"])
+    def test_tiny_graphs(self, g):
+        _assert_edge_deltas(g)
+
+    @pytest.mark.parametrize("chunk", [1, 7, None], ids=["chunk1", "chunk7", "default"])
+    @pytest.mark.parametrize("g", [star(40), book(40), with_isolated(book(25), 4, 6)],
+                             ids=["star", "book", "book-isolated"])
+    def test_step_budget(self, g, chunk, monkeypatch):
+        want = count_edge_iterator(g, edge_deltas=True)
+        probes = _min_degree_probes(g)
+        if chunk is not None:
+            monkeypatch.setattr(exact, "WEDGE_CHUNK", chunk)
+            # the hub's run of edges spans more than one step
+            hub = int(np.argmax(g.degrees))
+            assert probes[g.edge_u == hub].sum() > chunk
+        sizes = []
+        lookup = exact._lookup
+
+        def spy(probe, *args):
+            sizes.append(probe.size)
+            return lookup(probe, *args)
+
+        monkeypatch.setattr(exact, "_lookup", spy)
+        got = count_edge_iterator(g, edge_deltas=True)
+        assert got == want
+        assert got.delta_per_edge == intersect_edge_deltas(g)
+        # every probe made once; a step over the budget is one edge's probes,
+        # as for the book's hub edge at chunk 7
+        assert sum(sizes) == probes.sum()
+        assert all(s <= exact.WEDGE_CHUNK or s in probes for s in sizes)
+        assert any(s > exact.WEDGE_CHUNK for s in sizes) == (probes.max() > exact.WEDGE_CHUNK)
+
+    @pytest.mark.parametrize("g", [gnp(40, 0.3, 9), book(30), complete(8),
+                                   with_isolated(complete(6), 3, 5)],
+                             ids=["gnp", "book", "complete", "complete-isolated"])
+    def test_does_not_read_the_orientation(self, g):
+        bad = replace(g, fptr=np.zeros_like(g.fptr), fidx=g.fidx[::-1].copy(),
+                                  fpos=g.fpos[::-1].copy())
+        # the corruption is visible to the node iterator
+        assert count_triangles(bad) != count_triangles(g)
+        got = count_edge_iterator(bad, edge_deltas=True)
+        assert got.delta_per_edge == intersect_edge_deltas(g)
+        assert got == count_node_iterator(g, edge_deltas=True)
