@@ -77,18 +77,18 @@ def _slot_table(keys: np.ndarray, n: int) -> tuple[np.ndarray, int]:
 def _lookup(probe: np.ndarray, keys: np.ndarray, table: np.ndarray, mask: int):
     """Screen-then-confirm membership of the ``probe`` keys among the
     sorted ``keys``, given their ``_slot_table``. Returns idx, the probes
-    whose slot is set; cand, their keys; loc, their insertion points in
-    ``keys``; and hit, where ``keys[loc]`` is the probe itself. Only
-    ``idx[hit]`` are edges, so the answer is exact whatever the screen
-    passes."""
+    whose slot is set; loc, their insertion points in ``keys``; and hit,
+    where ``keys[loc]`` is the probe itself. Only ``idx[hit]`` are edges,
+    so the answer is exact whatever the screen passes."""
     idx = np.flatnonzero(table[probe & mask])
     cand = probe[idx]
     loc = np.searchsorted(keys, cand)
     np.minimum(loc, keys.size - 1, out=loc)
-    return idx, cand, loc, keys[loc] == cand
+    return idx, loc, keys[loc] == cand
 
 
-def _scan(n: int, fptr: np.ndarray, fidx: np.ndarray, keys: np.ndarray, collect: bool):
+def _scan(n: int, fptr: np.ndarray, fidx: np.ndarray, keys: np.ndarray,
+          fpos: np.ndarray | None = None):
     """Node-iterator core (forward / compact-forward, Schank & Wagner):
     for every vertex, test adjacency between pairs of its forward
     neighbors, given as the CSR ``fptr, fidx`` over the n vertices, whose
@@ -97,9 +97,9 @@ def _scan(n: int, fptr: np.ndarray, fidx: np.ndarray, keys: np.ndarray, collect:
     slot table first; only probes whose slot is set are looked up by
     binary search on the keys, so the result is exact.
 
-    Returns (t, positions) where positions is a tuple of three arrays
-    giving, for every triangle, the positions in ``keys`` of its three
-    edges (or None when not collected).
+    Returns (t, positions). Given ``fpos``, each forward entry's position
+    in ``keys``, positions holds per triangle the ``fpos`` of its two
+    forward entries and its probed key's position; else it is None.
     """
     fdeg = np.diff(fptr)
     table, mask = _slot_table(keys, n)
@@ -120,18 +120,16 @@ def _scan(n: int, fptr: np.ndarray, fidx: np.ndarray, keys: np.ndarray, collect:
             # rows ascend by id, so every pair already has a < b
             probe = (block * np.int64(n))[:, ii].reshape(-1)
             probe += block[:, jj].reshape(-1)
-            idx, cand, loc, hit = _lookup(probe, keys, table, mask)
+            idx, loc, hit = _lookup(probe, keys, table, mask)
             t += int(np.count_nonzero(hit))
-            if collect and hit.any():
-                idx = idx[hit]
-                u_hit = verts[idx // npairs]
-                a_hit, b_hit = np.divmod(cand[hit], np.int64(n))
-                k1 = np.minimum(u_hit, a_hit) * np.int64(n) + np.maximum(u_hit, a_hit)
-                k2 = np.minimum(u_hit, b_hit) * np.int64(n) + np.maximum(u_hit, b_hit)
-                pos_a.append(np.searchsorted(keys, k1))
-                pos_b.append(np.searchsorted(keys, k2))
+            if fpos is not None and hit.any():
+                # the wedge's forward entries sit i and j places into row u
+                row, pair = np.divmod(idx[hit], npairs)
+                first = fptr[verts[row]]
+                pos_a.append(fpos[first + ii[pair]])
+                pos_b.append(fpos[first + jj[pair]])
                 pos_c.append(loc[hit])
-    if not collect:
+    if fpos is None:
         return t, None
     return t, (np.concatenate(pos_a), np.concatenate(pos_b), np.concatenate(pos_c))
 
@@ -139,14 +137,15 @@ def _scan(n: int, fptr: np.ndarray, fidx: np.ndarray, keys: np.ndarray, collect:
 def count_forward(n: int, fptr: np.ndarray, fidx: np.ndarray, keys: np.ndarray) -> int:
     """Triangle count from a forward CSR on n vertices and the sorted
     edge keys, e.g. a sample from ``forward_sample``."""
-    return _scan(n, fptr, fidx, keys, collect=False)[0]
+    return _scan(n, fptr, fidx, keys)[0]
 
 
 def triangle_edge_positions(g: Graph) -> tuple[int, tuple[np.ndarray, np.ndarray, np.ndarray]]:
     """Triangle count plus, per triangle, the positions of its three edges
-    in the canonical edge arrays. Works for weighted and unweighted graphs
-    (weights are ignored; only the topology matters)."""
-    return _scan(g.n, g.fptr, g.fidx, g.edge_keys, collect=True)
+    in the canonical edge arrays: ``g.fpos`` of its two forward entries
+    and the position of the probed key. Works for weighted and unweighted
+    graphs (weights are ignored; only the topology matters)."""
+    return _scan(g.n, g.fptr, g.fidx, g.edge_keys, g.fpos)
 
 
 def connected_triples(g: Graph) -> int:
@@ -157,8 +156,7 @@ def connected_triples(g: Graph) -> int:
 
 def _delta_array(g: Graph) -> tuple[int, np.ndarray]:
     t, (pa, pb, pc) = triangle_edge_positions(g)
-    delta = np.bincount(np.concatenate([pa, pb, pc]), minlength=g.m).astype(np.int64)
-    return t, delta
+    return t, np.bincount(np.concatenate([pa, pb, pc]), minlength=g.m)
 
 
 def _stats_from_delta(g: Graph, t: int, delta: np.ndarray, edge_deltas: bool) -> TriangleStats:
@@ -205,7 +203,7 @@ def count_edge_iterator(g: Graph, *, edge_deltas: bool = False) -> TriangleStats
     # is N(u), ascending
     keys = np.concatenate([g.edge_u * np.int64(n) + g.edge_v, g.edge_v * np.int64(n) + g.edge_u])
     keys.sort()
-    deg = np.bincount(g.edge_u, minlength=n) + np.bincount(g.edge_v, minlength=n)
+    deg = g.degrees
     ptr = np.zeros(n + 1, dtype=np.int64)
     np.cumsum(deg, out=ptr[1:])
     swap = deg[g.edge_u] > deg[g.edge_v]
@@ -227,7 +225,7 @@ def count_edge_iterator(g: Graph, *, edge_deltas: bool = False) -> TriangleStats
         # the key of (hi, w) is the key of (lo, w) plus (hi - lo) * n; an
         # edge's probes ascend within row hi, so its searches share cache lines
         probe += np.repeat((u + v - 2 * lo) * np.int64(n), count)
-        idx, _, _, hit = _lookup(probe, keys, table, mask)
+        idx, _, hit = _lookup(probe, keys, table, mask)
         edge = np.searchsorted(first, idx[hit], side="right") - 1
         delta[a:b] = np.bincount(edge, minlength=b - a)
         a = b

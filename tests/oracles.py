@@ -11,7 +11,10 @@ from __future__ import annotations
 
 import itertools
 import math
+import sys
+import types
 from math import comb
+from pathlib import Path
 
 import numpy as np
 
@@ -93,6 +96,19 @@ def weighted_total_by_enumeration(g: Graph) -> float:
     for u, v, w in triangles_by_enumeration(g):
         total += edge_weight(g, u, v) * edge_weight(g, u, w) * edge_weight(g, v, w)
     return total
+
+
+def load_perfbench(name: str) -> types.ModuleType:
+    """Execute perfbench/<name>.py as a fresh module without importing it
+    through the import system, so no bytecode cache is written there. Its
+    counters are worked out from a graph's public arrays alone."""
+    path = Path(__file__).resolve().parent.parent / "perfbench" / f"{name}.py"
+    module = types.ModuleType(f"perfbench_{name}")
+    module.__file__ = str(path)
+    # dataclasses look their module up by name
+    sys.modules[module.__name__] = module
+    exec(compile(path.read_text(encoding="utf-8"), str(path), "exec"), module.__dict__)
+    return module
 
 
 def star(leaves: int) -> Graph:

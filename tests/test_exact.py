@@ -9,6 +9,7 @@ from oracles import (
     census_by_enumeration,
     edge_triangle_counts,
     intersect_edge_deltas,
+    load_perfbench,
     searchsorted_node_scan,
     star,
     subgraph_without_edge,
@@ -31,6 +32,9 @@ from trisparse import (
     triple_census,
     weighted_book,
 )
+
+# perfbench's own exact.wedges counter, forward_wedges
+BENCH_LAYERS = load_perfbench("layers")
 
 TRIANGLE = Graph.build(3, [0, 0, 1], [1, 2, 2])
 PATH3 = Graph.build(3, [0, 1], [1, 2])
@@ -261,6 +265,30 @@ class TestScreenedKernel:
         per_class = np.bincount(fdeg) * np.array([f * (f - 1) // 2 for f in range(fdeg.max() + 1)])
         assert per_class.max() > exact.WEDGE_CHUNK
         _assert_kernel_matches_references(g)
+
+    @pytest.mark.parametrize("collect", [True, False], ids=["positions", "count"])
+    @pytest.mark.parametrize("chunk", [1, 7, None], ids=["chunk1", "chunk7", "default"])
+    @pytest.mark.parametrize("g", [complete(12), book(40), gnp(60, 0.3, 5)],
+                             ids=["complete", "book", "gnp"])
+    def test_step_budget(self, g, chunk, collect, monkeypatch):
+        run = triangle_edge_positions if collect else count_triangles
+        want = run(g)
+        if chunk is not None:
+            monkeypatch.setattr(exact, "WEDGE_CHUNK", chunk)
+        sizes = []
+        lookup = exact._lookup
+
+        def spy(probe, *args):
+            sizes.append(probe.size)
+            return lookup(probe, *args)
+
+        monkeypatch.setattr(exact, "_lookup", spy)
+        np.testing.assert_equal(run(g), want)
+        # every wedge probed once, as perfbench counts them; a step over
+        # the budget is one row's wedges, as for complete(12) at chunk 7
+        assert sum(sizes) == BENCH_LAYERS.forward_wedges(g)
+        f = np.diff(g.fptr)
+        assert all(s <= exact.WEDGE_CHUNK or s in (f * (f - 1) // 2) for s in sizes)
 
 
 def _assert_edge_deltas(g: Graph) -> None:

@@ -6,13 +6,12 @@ counters perfbench computes itself must also agree with the program."""
 
 import ast
 import importlib
-import sys
-import types
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from oracles import load_perfbench
 from trisparse import count_triangles, generate
 from trisparse.graph import Graph
 
@@ -48,20 +47,8 @@ def test_patched_attribute_exists(owner, attr):
     assert callable(getattr(target, attr))
 
 
-def _load_read_only(name: str):
-    """Execute perfbench/<name>.py as a fresh module without importing it
-    through the import system, so no bytecode cache is written there."""
-    path = LAYERS.parent / f"{name}.py"
-    module = types.ModuleType(f"perfbench_{name}")
-    module.__file__ = str(path)
-    # dataclasses look their module up by name
-    sys.modules[module.__name__] = module
-    exec(compile(path.read_text(encoding="utf-8"), str(path), "exec"), module.__dict__)
-    return module
-
-
-BENCH_LAYERS = _load_read_only("layers")
-BENCH_WORKLOADS = _load_read_only("workloads")
+BENCH_LAYERS = load_perfbench("layers")
+BENCH_WORKLOADS = load_perfbench("workloads")
 
 
 @pytest.mark.parametrize("spec", ["gnp:300:0.1", "gnp:60:0.5", "book:40", "complete:9"])
