@@ -9,7 +9,7 @@ from math import comb
 
 import numpy as np
 
-from .graph import Graph
+from .graph import Graph, lookup, slot_table
 
 DEFAULT_BRUTE_LIMIT = 1000
 
@@ -17,8 +17,6 @@ DEFAULT_BRUTE_LIMIT = 1000
 # one forward-degree class; a single row can exceed it, but under
 # degree order a row has at most C(sqrt(2m), 2) = O(m) wedges.
 WEDGE_CHUNK = 1 << 18
-# Slots per edge in the probe screen (rounded up to a power of two).
-_SLOTS_PER_EDGE = 8
 
 
 @dataclass(frozen=True)
@@ -52,57 +50,32 @@ def _require_unweighted(g: Graph, what: str) -> None:
 
 
 def forward_sample(g: Graph, mask: np.ndarray):
-    """Forward CSR and sorted edge keys of the subgraph of g keeping the
-    canonical edges where ``mask`` holds, without building it. g's vertex
-    order is still a total order on the sample, so ``count_forward``
-    finds each of its triangles once."""
+    """Forward CSR of the subgraph of g keeping the canonical edges where
+    ``mask`` holds, without building it. g's vertex order is still a
+    total order on the sample, so ``count_forward`` finds each of its
+    triangles once."""
     _require_unweighted(g, "forward_sample")
     keep = mask[g.fpos]
     kept = np.zeros(keep.size + 1, dtype=np.int64)
     np.cumsum(keep, out=kept[1:])
-    return kept[g.fptr], g.fidx[keep], g.edge_keys[mask]
+    return kept[g.fptr], g.fidx[keep]
 
 
-def _slot_table(keys: np.ndarray, n: int) -> tuple[np.ndarray, int]:
-    """Membership screen over the edge keys: a bool table of 2^k slots,
-    2^k >= min(n^2, 8m), with the slot of every key set. A probe whose
-    slot is clear is no edge; one whose slot is set may be. With
-    2^k >= n^2 no two keys share a slot and the screen is exact."""
-    size = 1 << (min(n * n, _SLOTS_PER_EDGE * keys.size) - 1).bit_length()
-    table = np.zeros(size, dtype=bool)
-    table[keys & (size - 1)] = True
-    return table, size - 1
-
-
-def _lookup(probe: np.ndarray, keys: np.ndarray, table: np.ndarray, mask: int):
-    """Screen-then-confirm membership of the ``probe`` keys among the
-    sorted ``keys``, given their ``_slot_table``. Returns idx, the probes
-    whose slot is set; loc, their insertion points in ``keys``; and hit,
-    where ``keys[loc]`` is the probe itself. Only ``idx[hit]`` are edges,
-    so the answer is exact whatever the screen passes."""
-    idx = np.flatnonzero(table[probe & mask])
-    cand = probe[idx]
-    loc = np.searchsorted(keys, cand)
-    np.minimum(loc, keys.size - 1, out=loc)
-    return idx, loc, keys[loc] == cand
-
-
-def _scan(n: int, fptr: np.ndarray, fidx: np.ndarray, keys: np.ndarray,
-          fpos: np.ndarray | None = None):
+def _scan(g: Graph, fptr: np.ndarray, fidx: np.ndarray,
+          alive: np.ndarray | None = None, fpos: np.ndarray | None = None):
     """Node-iterator core (forward / compact-forward, Schank & Wagner):
     for every vertex, test adjacency between pairs of its forward
-    neighbors, given as the CSR ``fptr, fidx`` over the n vertices, whose
-    edges have the sorted keys u*n+v. Each triangle is found exactly
-    once, at its lowest-ranked vertex. A probe is screened through the
-    slot table first; only probes whose slot is set are looked up by
-    binary search on the keys, so the result is exact.
+    neighbors, given as the CSR ``fptr, fidx`` of g or of its sample of
+    the edges where ``alive`` holds. Each triangle is found exactly once,
+    at its lowest-ranked vertex. A probe is a ``lookup`` in g's keys
+    through g's screen, and a hit counts only if that edge is alive.
 
-    Returns (t, positions). Given ``fpos``, each forward entry's position
-    in ``keys``, positions holds per triangle the ``fpos`` of its two
-    forward entries and its probed key's position; else it is None.
+    Returns (t, positions). Given ``fpos``, each forward entry's
+    canonical position, positions holds per triangle the ``fpos`` of its
+    two forward entries and its probed key's position; else it is None.
     """
+    n, keys, table = g.n, g.edge_keys, g.screen
     fdeg = np.diff(fptr)
-    table, mask = _slot_table(keys, n)
     t = 0
     # a leading empty array keeps each concatenation int64 when t = 0
     empty = np.empty(0, dtype=np.int64)
@@ -120,7 +93,9 @@ def _scan(n: int, fptr: np.ndarray, fidx: np.ndarray, keys: np.ndarray,
             # rows ascend by id, so every pair already has a < b
             probe = (block * np.int64(n))[:, ii].reshape(-1)
             probe += block[:, jj].reshape(-1)
-            idx, loc, hit = _lookup(probe, keys, table, mask)
+            idx, loc, hit = lookup(probe, keys, table)
+            if alive is not None:
+                hit &= alive[loc]
             t += int(np.count_nonzero(hit))
             if fpos is not None and hit.any():
                 # the wedge's forward entries sit i and j places into row u
@@ -134,10 +109,10 @@ def _scan(n: int, fptr: np.ndarray, fidx: np.ndarray, keys: np.ndarray,
     return t, (np.concatenate(pos_a), np.concatenate(pos_b), np.concatenate(pos_c))
 
 
-def count_forward(n: int, fptr: np.ndarray, fidx: np.ndarray, keys: np.ndarray) -> int:
-    """Triangle count from a forward CSR on n vertices and the sorted
-    edge keys, e.g. a sample from ``forward_sample``."""
-    return _scan(n, fptr, fidx, keys)[0]
+def count_forward(g: Graph, fptr: np.ndarray, fidx: np.ndarray, alive: np.ndarray) -> int:
+    """Triangle count of the sample of g whose canonical edges are those
+    where ``alive`` holds, given its forward CSR from ``forward_sample``."""
+    return _scan(g, fptr, fidx, alive)[0]
 
 
 def triangle_edge_positions(g: Graph) -> tuple[int, tuple[np.ndarray, np.ndarray, np.ndarray]]:
@@ -145,7 +120,7 @@ def triangle_edge_positions(g: Graph) -> tuple[int, tuple[np.ndarray, np.ndarray
     in the canonical edge arrays: ``g.fpos`` of its two forward entries
     and the position of the probed key. Works for weighted and unweighted
     graphs (weights are ignored; only the topology matters)."""
-    return _scan(g.n, g.fptr, g.fidx, g.edge_keys, g.fpos)
+    return _scan(g, g.fptr, g.fidx, fpos=g.fpos)
 
 
 def connected_triples(g: Graph) -> int:
@@ -155,8 +130,9 @@ def connected_triples(g: Graph) -> int:
 
 
 def _delta_array(g: Graph) -> tuple[int, np.ndarray]:
-    t, (pa, pb, pc) = triangle_edge_positions(g)
-    return t, np.bincount(np.concatenate([pa, pb, pc]), minlength=g.m)
+    t, positions = triangle_edge_positions(g)
+    # one bincount per array: concatenating all three would set a count's peak
+    return t, sum(np.bincount(pos, minlength=g.m) for pos in positions)
 
 
 def _stats_from_delta(g: Graph, t: int, delta: np.ndarray, edge_deltas: bool) -> TriangleStats:
@@ -175,7 +151,7 @@ def count_node_iterator(g: Graph, *, edge_deltas: bool = False) -> TriangleStats
 
     Degree-then-id ordering restricts the examined pairs to higher-ranked
     neighbors so each triangle is counted once. Pair adjacency goes through
-    a bool slot table over the edge keys, which rejects most non-edges at
+    the graph's screen over its edge keys, which rejects most non-edges at
     once; only pairs it passes are resolved by binary search on the sorted
     canonical edge keys. Each step holds at most ``WEDGE_CHUNK`` pairs, or
     one vertex's pairs where that vertex alone has more.
@@ -210,7 +186,7 @@ def count_edge_iterator(g: Graph, *, edge_deltas: bool = False) -> TriangleStats
     # edge i's probes are ends[i]:ends[i + 1] in the run of all probes
     ends = np.zeros(m + 1, dtype=np.int64)
     np.cumsum(np.minimum(deg[g.edge_u], deg[g.edge_v]), out=ends[1:])
-    table, mask = _slot_table(keys, n)
+    table = slot_table(keys, n)
     delta = np.zeros(m, dtype=np.int64)
     a = 0
     while a < m:
@@ -225,7 +201,7 @@ def count_edge_iterator(g: Graph, *, edge_deltas: bool = False) -> TriangleStats
         # the key of (hi, w) is the key of (lo, w) plus (hi - lo) * n; an
         # edge's probes ascend within row hi, so its searches share cache lines
         probe += np.repeat((u + v - 2 * lo) * np.int64(n), count)
-        idx, _, hit = _lookup(probe, keys, table, mask)
+        idx, _, hit = lookup(probe, keys, table)
         edge = np.searchsorted(first, idx[hit], side="right") - 1
         delta[a:b] = np.bincount(edge, minlength=b - a)
         a = b
@@ -258,7 +234,7 @@ def count_triangles(g: Graph) -> int:
     """Triangle count only, skipping per-edge bookkeeping. The fast path
     for estimators that need nothing but t."""
     _require_unweighted(g, "count_triangles")
-    return count_forward(g.n, g.fptr, g.fidx, g.edge_keys)
+    return _scan(g, g.fptr, g.fidx)[0]
 
 
 def triple_census(g: Graph, t: int | None = None) -> TripleCensus:

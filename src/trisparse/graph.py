@@ -1,12 +1,11 @@
-"""Immutable undirected simple graphs: canonical edge arrays plus the
-degree-ordered forward CSR that the exact counters scan."""
+"""Immutable undirected simple graphs: canonical edge arrays, the
+degree-ordered forward CSR and the edge-membership index they probe."""
 
 from __future__ import annotations
 
 import io
 import math
 from dataclasses import dataclass
-from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -15,6 +14,8 @@ import numpy as np
 _MAX_VERTICES = 3_037_000_499
 # original vertex ids are kept as int64 labels
 _MIN_ID, _MAX_ID = -2**63, 2**63 - 1
+# Slots per edge in the membership screen (rounded up to a power of two).
+_SLOTS_PER_EDGE = 8
 
 
 class EdgeListFormatError(ValueError):
@@ -44,8 +45,10 @@ class Graph:
     Each edge is also stored once in the forward CSR ``fptr, fidx``,
     oriented from its lower to its higher endpoint in degree-then-id
     order, with strictly ascending rows; ``fpos`` gives the canonical
-    edge index of each forward entry. All arrays are read-only, so
-    instances are safe to share across threads after construction.
+    edge index of each forward entry. Every membership probe, on g or a
+    sample of its edges, is a ``lookup`` in the sorted keys u*n+v of the
+    canonical edges, ``edge_keys``, through their ``screen``. All arrays
+    are read-only, so instances are safe to share across threads.
     ``labels`` maps compact vertex ids back to the ids found in the input
     file; it is None for generated graphs.
     """
@@ -57,6 +60,8 @@ class Graph:
     fidx: np.ndarray
     fpos: np.ndarray
     degrees: np.ndarray
+    edge_keys: np.ndarray
+    screen: np.ndarray
     weights: np.ndarray | None = None
     labels: np.ndarray | None = None
 
@@ -68,24 +73,16 @@ class Graph:
     def is_weighted(self) -> bool:
         return self.weights is not None
 
-    @cached_property
-    def edge_keys(self) -> np.ndarray:
-        """Sorted int64 keys u*n+v, one per canonical edge."""
-        return self.edge_u * np.int64(self.n) + self.edge_v
-
     def edge_positions(self, us, vs) -> np.ndarray:
         """Positions of the (us[i], vs[i]) edges in the canonical edge
         arrays, or -1 where the edge is absent. Vectorized."""
         us = np.asarray(us, dtype=np.int64)
         vs = np.asarray(vs, dtype=np.int64)
-        lo = np.minimum(us, vs)
-        hi = np.maximum(us, vs)
-        keys = lo * np.int64(self.n) + hi
-        pos = np.searchsorted(self.edge_keys, keys)
-        if self.m == 0:
-            return np.full(keys.shape, -1, dtype=np.int64)
-        pos = np.minimum(pos, self.m - 1)
-        return np.where(self.edge_keys[pos] == keys, pos, -1)
+        keys = np.minimum(us, vs) * np.int64(self.n) + np.maximum(us, vs)
+        idx, loc, hit = lookup(keys.ravel(), self.edge_keys, self.screen)
+        pos = np.full(keys.shape, -1, dtype=np.int64)
+        np.put(pos, idx[hit], loc[hit])
+        return pos
 
     def has_edges(self, us, vs) -> np.ndarray:
         return self.edge_positions(us, vs) >= 0
@@ -135,9 +132,9 @@ class Graph:
         forward = rank[edge_u_f] < rank[edge_v_f]
         src = np.where(forward, edge_u_f, edge_v_f)
         dst = np.where(forward, edge_v_f, edge_u_f)
-        # the keys are unique, so any sort gives the same permutation;
-        # stable is fastest where the canonical order is nearly forward order
-        fpos = np.argsort(src * np.int64(n) + dst, kind="stable")
+        # canonical order lists each row's dst ascending, so a stable sort by
+        # src alone gives (src, dst) order; the narrowest dtype sorts fastest
+        fpos = np.argsort(src.astype(np.min_scalar_type(n)), kind="stable")
         fidx = dst[fpos]
         fptr = np.zeros(n + 1, dtype=np.int64)
         np.cumsum(np.bincount(src, minlength=n), out=fptr[1:])
@@ -148,11 +145,37 @@ class Graph:
             if lab.size != n:
                 raise ValueError("labels array must have one entry per vertex")
 
-        for arr in (edge_u_f, edge_v_f, fptr, fidx, fpos, degrees, w, lab):
+        screen = slot_table(uniq, n)
+        for arr in (edge_u_f, edge_v_f, fptr, fidx, fpos, degrees, uniq, screen, w, lab):
             if arr is not None:
                 arr.setflags(write=False)
         return Graph(n=n, edge_u=edge_u_f, edge_v=edge_v_f, fptr=fptr, fidx=fidx,
-                     fpos=fpos, degrees=degrees, weights=w, labels=lab)
+                     fpos=fpos, degrees=degrees, edge_keys=uniq, screen=screen,
+                     weights=w, labels=lab)
+
+
+def slot_table(keys: np.ndarray, n: int) -> np.ndarray:
+    """Membership screen over the edge keys: a bool table of 2^k slots,
+    2^k >= min(n^2, 8m), with the slot of every key set. A probe whose
+    slot is clear is no edge; one whose slot is set may be. With
+    2^k >= n^2 no two keys share a slot and the screen is exact."""
+    size = 1 << (min(n * n, _SLOTS_PER_EDGE * keys.size) - 1).bit_length()
+    table = np.zeros(size, dtype=bool)
+    table[keys & (size - 1)] = True
+    return table
+
+
+def lookup(probe: np.ndarray, keys: np.ndarray, table: np.ndarray):
+    """Screen-then-confirm membership of the ``probe`` keys among the
+    sorted ``keys``, given their ``slot_table``. Returns idx, the probes
+    whose slot is set; loc, their insertion points in ``keys``; and hit,
+    where ``keys[loc]`` is the probe itself. Only ``idx[hit]`` are edges,
+    so the answer is exact whatever the screen passes."""
+    idx = np.flatnonzero(table[probe & (table.size - 1)])
+    cand = probe[idx]
+    loc = np.searchsorted(keys, cand)
+    np.minimum(loc, keys.size - 1, out=loc)
+    return idx, loc, keys[loc] == cand
 
 
 def load_edge_list(path, weighted: bool = False) -> Graph:

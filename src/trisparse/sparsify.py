@@ -80,20 +80,21 @@ def weighted_sparsify(g: Graph, params: SparsifyParams) -> Graph:
 def estimate_triangles(g: Graph, params: SparsifyParams) -> Estimate:
     """Sparsify, count exactly on the sample, scale by 1/p^3.
 
-    The sample is g's forward CSR and edge keys filtered by the survival
-    mask; no ``Graph`` is built. ``sparsify_time`` covers the mask and
-    the filter, ``count_time`` the scan; neither includes loading g.
+    The sample is g's forward CSR filtered by the survival mask, scanned
+    against g's own edge keys and screen: no ``Graph`` and no key copy.
+    ``sparsify_time`` covers the mask and the filter, ``count_time`` the
+    scan; neither includes loading g.
     """
     start = perf_counter()
     mask = survival_mask(g.m, params)
-    fptr, fidx, keys = forward_sample(g, mask)
+    fptr, fidx = forward_sample(g, mask)
     sparsify_time = perf_counter() - start
     start = perf_counter()
-    t_prime = count_triangles(g.n, fptr, fidx, keys)
+    t_prime = count_triangles(g, fptr, fidx, mask)
     count_time = perf_counter() - start
     return Estimate(
         params=params,
-        surviving_edges=keys.size,
+        surviving_edges=fidx.size,
         t_prime=t_prime,
         estimate=t_prime / params.p ** 3,
         sparsify_time=sparsify_time,

@@ -193,7 +193,7 @@ class TestStructuralProperties:
 
 
 def _slots(g: Graph) -> int:
-    return exact._slot_table(g.edge_keys, g.n)[0].size
+    return g.screen.size
 
 
 def _assert_kernel_matches_references(g: Graph, core: Graph | None = None) -> None:
@@ -276,13 +276,13 @@ class TestScreenedKernel:
         if chunk is not None:
             monkeypatch.setattr(exact, "WEDGE_CHUNK", chunk)
         sizes = []
-        lookup = exact._lookup
+        lookup = exact.lookup
 
         def spy(probe, *args):
             sizes.append(probe.size)
             return lookup(probe, *args)
 
-        monkeypatch.setattr(exact, "_lookup", spy)
+        monkeypatch.setattr(exact, "lookup", spy)
         np.testing.assert_equal(run(g), want)
         # every wedge probed once, as perfbench counts them; a step over
         # the budget is one row's wedges, as for complete(12) at chunk 7
@@ -342,13 +342,13 @@ class TestVectorizedEdgeIterator:
             hub = int(np.argmax(g.degrees))
             assert probes[g.edge_u == hub].sum() > chunk
         sizes = []
-        lookup = exact._lookup
+        lookup = exact.lookup
 
         def spy(probe, *args):
             sizes.append(probe.size)
             return lookup(probe, *args)
 
-        monkeypatch.setattr(exact, "_lookup", spy)
+        monkeypatch.setattr(exact, "lookup", spy)
         got = count_edge_iterator(g, edge_deltas=True)
         assert got == want
         assert got.delta_per_edge == intersect_edge_deltas(g)

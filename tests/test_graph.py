@@ -300,8 +300,8 @@ class TestGraphInvariants:
                         labels=[9, 8, 7, 6])
         arrays = {f.name: getattr(g, f.name) for f in dataclasses.fields(g)
                   if isinstance(getattr(g, f.name), np.ndarray)}
-        assert {"edge_u", "edge_v", "fptr", "fidx", "fpos", "degrees",
-                "weights", "labels"} <= arrays.keys()
+        assert {"edge_u", "edge_v", "fptr", "fidx", "fpos", "degrees", "edge_keys",
+                "screen", "weights", "labels"} <= arrays.keys()
         for arr in arrays.values():
             with pytest.raises(ValueError, match="read-only"):
                 arr[0] = 3
@@ -378,11 +378,96 @@ class TestForwardLayout:
     @pytest.mark.parametrize("g", [
         Graph.build(0, [], []), Graph.build(6, [], []), Graph.build(3, [1, 2], [1, 2]),
         complete(7), book(30), star(12), gnp(80, 0.2, 4), weighted_book(5, 3.0),
-        with_isolated(book(6), 3, 20),
+        with_isolated(book(6), 3, 20), gnp(300, 0.05, 4), book(70000),
     ], ids=["null", "empty", "self-loops-only", "complete", "book", "star", "gnp",
-            "weighted-book", "book-isolated"])
+            "weighted-book", "book-isolated", "gnp-uint16", "book-uint32"])
     def test_shapes(self, g):
+        # the forward sort narrows the ids to uint8, uint16 or uint32 by n
         _assert_forward_layout(g)
+
+
+def _positions_by_searchsorted(g, us, vs) -> np.ndarray:
+    """Reference for ``Graph.edge_positions``: binary search of the keys
+    worked out from the canonical edge arrays."""
+    us, vs = np.asarray(us, dtype=np.int64), np.asarray(vs, dtype=np.int64)
+    keys = g.edge_u * np.int64(g.n) + g.edge_v
+    probe = np.minimum(us, vs) * np.int64(g.n) + np.maximum(us, vs)
+    if g.m == 0:
+        return np.full(probe.shape, -1, dtype=np.int64)
+    pos = np.searchsorted(keys, probe)
+    return np.where(keys[np.minimum(pos, g.m - 1)] == probe, pos, -1)
+
+
+def _assert_positions(g, us, vs):
+    want = _positions_by_searchsorted(g, us, vs)
+    for a, b in ((us, vs), (vs, us)):
+        got = g.edge_positions(a, b)
+        assert got.dtype == np.int64 and got.shape == want.shape
+        np.testing.assert_array_equal(got, want)
+        np.testing.assert_array_equal(g.has_edges(a, b), want >= 0)
+
+
+@st.composite
+def _colliding_probes(draw):
+    """A graph with few edges among ids spread over [0, n), and probes
+    whose keys share a slot of its screen with an edge's key: each is
+    an edge key plus a multiple of the screen size. n^2 far exceeds
+    the slots, so most of them pass the screen and are no edge."""
+    n = draw(st.integers(2, 5000))
+    pairs = draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)),
+                          max_size=12))
+    g = Graph.build(n, [u for u, _ in pairs], [v for _, v in pairs])
+    shifts = draw(st.lists(st.integers(-40, 40), min_size=1, max_size=8))
+    keys = (g.edge_keys[:, None] + g.screen.size * np.array(shifts)).ravel()
+    u, v = np.divmod(keys[(keys >= 0) & (keys < n * n)], n)
+    return g, u, v
+
+
+class TestEdgePositions:
+    """Positions of probed pairs through the graph's screen and keys,
+    against a plain binary search."""
+
+    @given(g=raw_graphs(), data=st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_random_pairs(self, g, data):
+        ids = st.integers(0, max(g.n - 1, 0))
+        pairs = data.draw(st.lists(st.tuples(ids, ids), max_size=30)) if g.n else []
+        pairs += list(zip(g.edge_u.tolist(), g.edge_v.tolist()))
+        _assert_positions(g, [u for u, _ in pairs], [v for _, v in pairs])
+
+    @given(case=_colliding_probes())
+    @settings(max_examples=100, deadline=None)
+    def test_keys_sharing_a_slot(self, case):
+        g, u, v = case
+        # every probe passes the screen, so the key compare alone decides
+        assert g.screen[(u * g.n + v) & (g.screen.size - 1)].all()
+        _assert_positions(g, u, v)
+
+    def test_slot_shared_by_edges_and_non_edges(self):
+        g = Graph.build(5000, [0, 0, 0], [32, 64, 96])
+        assert g.screen.size == 32
+        u, v = np.divmod(np.arange(0, 50 * 32, 32), 5000)
+        _assert_positions(g, u, v)
+        np.testing.assert_array_equal(g.edge_positions(u, v)[:4], [-1, 0, 1, 2])
+
+    @pytest.mark.parametrize("g", [Graph.build(0, [], []), Graph.build(1, [], []),
+                                   Graph.build(6, [], [])], ids=["n0", "n1", "m0"])
+    def test_no_edges(self, g):
+        _assert_positions(g, np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64))
+        if g.n:
+            ids = np.arange(g.n)
+            _assert_positions(g, np.repeat(ids, g.n), np.tile(ids, g.n))
+            assert g.edge_positions(0, g.n - 1).shape == ()
+
+    def test_input_shapes(self):
+        g = book(6)
+        assert g.edge_positions(0, 1).shape == () and int(g.edge_positions(1, 0)) == 0
+        assert int(g.edge_positions(3, 4)) == -1
+        us = np.array([[0, 1, 2], [3, 7, 0]])
+        vs = np.array([[1, 0, 3], [4, 1, 7]])
+        _assert_positions(g, us, vs)
+        assert g.edge_positions(us, vs).shape == (2, 3)
+        _assert_positions(g, np.int64(2), np.int64(0))
 
 
 class TestKeyArithmetic:

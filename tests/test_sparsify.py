@@ -34,6 +34,7 @@ from trisparse import (
 
 # the package's own ``sparsify`` attribute is the function
 sparsify_module = importlib.import_module("trisparse.sparsify")
+graph_module = importlib.import_module("trisparse.graph")
 
 TRIANGLE = Graph.build(3, [0, 0, 1], [1, 2, 2])
 
@@ -145,12 +146,28 @@ def _assert_trial_matches_sample(g: Graph, params: SparsifyParams) -> None:
 
 @st.composite
 def _graphs(draw):
-    n = draw(st.integers(0, 60))
-    if n < 2:
-        return Graph.build(n, [], [])
-    pairs = draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)),
-                          max_size=6 * n))
-    return Graph.build(n, [u for u, _ in pairs], [v for _, v in pairs])
+    """A random graph on k <= 60 vertices, or on k <= 40 vertices
+    relabelled to distinct ids in [0, n) for n up to 5000. There n^2 far
+    exceeds the screen's slots, so a probe of a parent edge that did not
+    survive and one of a slot collision both pass the screen."""
+    k = draw(st.integers(0, 60))
+    if k < 2:
+        return Graph.build(k, [], [])
+    pairs = draw(st.lists(st.tuples(st.integers(0, k - 1), st.integers(0, k - 1)),
+                          max_size=6 * k))
+    us = np.array([u for u, _ in pairs], dtype=np.int64)
+    vs = np.array([v for _, v in pairs], dtype=np.int64)
+    if k > 40 or draw(st.booleans()):
+        return Graph.build(k, us, vs)
+    n = draw(st.integers(k, 5000))
+    ids = np.array(draw(st.lists(st.integers(0, n - 1), min_size=k, max_size=k, unique=True)))
+    return Graph.build(n, ids[us], ids[vs])
+
+
+def _spread(g: Graph, n: int, seed: int) -> Graph:
+    """g with its vertices moved to distinct random ids in [0, n)."""
+    ids = np.random.default_rng(seed).choice(n, g.n, replace=False)
+    return Graph.build(n, ids[g.edge_u], ids[g.edge_v])
 
 
 SHAPES = {
@@ -158,6 +175,8 @@ SHAPES = {
     "null": Graph.build(0, [], []), "empty": Graph.build(6, [], []),
     "complete-isolated": with_isolated(complete(6), 7, 9),
     "book-isolated": with_isolated(book(8), 3, 20), "gnp": gnp(60, 0.3, 5),
+    # n^2 far exceeds the screen's slots, so non-edges pass the screen
+    "gnp-spread": _spread(gnp(40, 0.4, 5), 200, 1),
 }
 
 
@@ -202,6 +221,19 @@ class TestMaskedTrial:
         monkeypatch.setattr(Graph, "build", no_build)
         assert [estimate_triangles(g, SparsifyParams(p=0.5, seed=s)).t_prime
                 for s in range(3)] == want
+
+    def test_builds_no_slot_table(self, monkeypatch):
+        # every trial probes the parent's own screen and keys
+        g = gnp(80, 0.3, 2)
+        want = [estimate_triangles(g, SparsifyParams(p=p, seed=s)).t_prime
+                for p in (0.5, 1.0) for s in range(3)]
+
+        def no_table(*args, **kwargs):
+            raise AssertionError("a trial built a slot table")
+        for module in (graph_module, exact):
+            monkeypatch.setattr(module, "slot_table", no_table)
+        assert [estimate_triangles(g, SparsifyParams(p=p, seed=s)).t_prime
+                for p in (0.5, 1.0) for s in range(3)] == want
 
     def test_rejects_weighted(self):
         with pytest.raises(ValueError):
