@@ -13,6 +13,7 @@ from time import perf_counter
 
 import numpy as np
 
+from .exact import check_threads
 from .graph import Graph
 from .sparsify import Estimate, SparsifyParams, estimate_triangles
 
@@ -182,12 +183,6 @@ def default_p0(n: int, p_floor: float = DEFAULT_P_FLOOR) -> float:
     if n < 1:
         return 1.0
     return min(max(1.0 / math.sqrt(n), p_floor), 1.0)
-
-
-def check_threads(threads: int) -> None:
-    """Reject a worker count below 1."""
-    if threads < 1:
-        raise ValueError(f"thread count must be at least 1, got {threads}")
 
 
 def run_trials(g: Graph, p: float, seed: int, batch_index: int, trials: int,

@@ -93,10 +93,11 @@ def cmd_gen(args) -> int:
 
 
 def cmd_count(args) -> int:
+    ad.check_threads(args.threads)
     g, info = _load(args, weighted=args.weighted)
 
     if args.weighted:
-        value, count_time = _timed(count_weighted_triangles, g)
+        value, count_time = _timed(count_weighted_triangles, g, args.threads)
         print(bench.format_table(
             ["graph", "n", "m", "weighted_triangle_total", "convention", "count_time"],
             [[info["id"], g.n, g.m, value, "product", count_time]]))
@@ -111,8 +112,10 @@ def cmd_count(args) -> int:
         trans = exact.transitivity(g)
         per_edge = None
     else:
-        counter = exact.count_node_iterator if args.algo == "node" else exact.count_edge_iterator
-        ts = counter(g, edge_deltas=args.delta)
+        if args.algo == "node":
+            ts = exact.count_node_iterator(g, edge_deltas=args.delta, threads=args.threads)
+        else:
+            ts = exact.count_edge_iterator(g, edge_deltas=args.delta)
         t, delta_max, trans, per_edge = ts.t, ts.delta_max, ts.transitivity, ts.delta_per_edge
     count_time = perf_counter() - start
 
@@ -339,6 +342,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--delta", action="store_true", help="include per-edge triangle counts")
     p.add_argument("--weighted", action="store_true",
                    help="load edge weights and report the weighted triangle total")
+    p.add_argument("--threads", type=int, default=os.cpu_count() or 1,
+                   help="workers for the node scan of --algo node and --weighted")
     p.add_argument("--json", default=None)
     p.set_defaults(func=cmd_count)
 

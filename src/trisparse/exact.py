@@ -4,6 +4,8 @@ triple census and the global transitivity ratio."""
 from __future__ import annotations
 
 import itertools
+from collections import deque
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from math import comb
 
@@ -13,9 +15,10 @@ from .graph import Graph, lookup, slot_table
 
 DEFAULT_BRUTE_LIMIT = 1000
 
-# Most wedges one kernel step may hold. A step covers a run of rows of
-# one forward-degree class; a single row can exceed it, but under
-# degree order a row has at most C(sqrt(2m), 2) = O(m) wedges.
+# Most wedges the node scan holds at once, across all its workers: each
+# of ``threads`` workers runs one step at a time, and a step holds at
+# most max(1, WEDGE_CHUNK // threads) wedges. The edge iterator, which
+# runs serially, holds at most this many probes per step, or one edge's.
 WEDGE_CHUNK = 1 << 18
 
 
@@ -61,52 +64,106 @@ def forward_sample(g: Graph, mask: np.ndarray):
     return kept[g.fptr], g.fidx[keep]
 
 
+def check_threads(threads: int) -> None:
+    """Reject a worker count below 1."""
+    if threads < 1:
+        raise ValueError(f"thread count must be at least 1, got {threads}")
+
+
+def _steps(fptr: np.ndarray, budget: int):
+    """The node scan's steps, in scan order. A step (f, ii, jj, verts)
+    stands for the wedges (ii[k], jj[k]) of each row in ``verts``, all of
+    forward degree f, at most ``budget`` of them: a run of whole rows of
+    one degree class, or a run of one row's pairs where that row alone
+    has more. A row's runs are consecutive, so the scan's hits come in
+    the same order whatever the budget."""
+    fdeg = np.diff(fptr)
+    for f in np.flatnonzero(np.bincount(fdeg)).tolist():
+        if f < 2:
+            continue
+        ii, jj = np.triu_indices(f, 1)
+        cls = np.flatnonzero(fdeg == f)
+        if ii.size <= budget:
+            rows = budget // ii.size
+            for start in range(0, cls.size, rows):
+                yield f, ii, jj, cls[start:start + rows]
+        else:
+            for row in range(cls.size):
+                for lo in range(0, ii.size, budget):
+                    yield f, ii[lo:lo + budget], jj[lo:lo + budget], cls[row:row + 1]
+
+
+def _in_order(fn, steps, threads: int):
+    """fn of each step, in step order. With one thread the steps run
+    inline; with more they run on a pool of ``threads`` workers, at most
+    2 * threads of them submitted ahead of the one being collected
+    (``pool.map`` would submit every step at once, and so hold every
+    class's pair indices together)."""
+    if threads == 1:
+        yield from map(fn, steps)
+        return
+    with ThreadPoolExecutor(threads) as pool:
+        ahead = deque()
+        for step in steps:
+            ahead.append(pool.submit(fn, step))
+            if len(ahead) > 2 * threads:
+                yield ahead.popleft().result()
+        while ahead:
+            yield ahead.popleft().result()
+
+
 def _scan(g: Graph, fptr: np.ndarray, fidx: np.ndarray,
-          alive: np.ndarray | None = None, fpos: np.ndarray | None = None):
+          alive: np.ndarray | None = None, fpos: np.ndarray | None = None,
+          threads: int = 1):
     """Node-iterator core (forward / compact-forward, Schank & Wagner):
     for every vertex, test adjacency between pairs of its forward
     neighbors, given as the CSR ``fptr, fidx`` of g or of its sample of
     the edges where ``alive`` holds. Each triangle is found exactly once,
     at its lowest-ranked vertex. A probe is a ``lookup`` in g's keys
     through g's screen, and a hit counts only if that edge is alive.
+    With ``threads`` > 1 the steps run on a pool of that many workers
+    and are collected in step order, so the result does not depend on
+    the thread count; the wedges in flight stay within ``WEDGE_CHUNK``.
 
     Returns (t, positions). Given ``fpos``, each forward entry's
     canonical position, positions holds per triangle the ``fpos`` of its
     two forward entries and its probed key's position; else it is None.
     """
+    check_threads(threads)
     n, keys, table = g.n, g.edge_keys, g.screen
-    fdeg = np.diff(fptr)
+
+    def probe_step(step):
+        f, ii, jj, verts = step
+        block = fidx[fptr[verts][:, None] + np.arange(f)]
+        # rows ascend by id, so every pair already has a < b
+        probe = (block * np.int64(n))[:, ii].reshape(-1)
+        probe += block[:, jj].reshape(-1)
+        idx, loc, hit = lookup(probe, keys, table)
+        if alive is not None:
+            hit &= alive[loc]
+        if fpos is None or not hit.any():
+            return int(np.count_nonzero(hit)), None
+        # the wedge's forward entries sit ii and jj places into its row
+        row, pair = np.divmod(idx[hit], ii.size)
+        first = fptr[verts[row]]
+        return row.size, (fpos[first + ii[pair]], fpos[first + jj[pair]], loc[hit])
+
     t = 0
     # a leading empty array keeps each concatenation int64 when t = 0
     empty = np.empty(0, dtype=np.int64)
-    pos_a, pos_b, pos_c = [empty], [empty], [empty]
-    for f in np.flatnonzero(np.bincount(fdeg)).tolist():
-        if f < 2:
-            continue
-        ii, jj = np.triu_indices(f, 1)
-        npairs = ii.size
-        rows = max(1, WEDGE_CHUNK // npairs)
-        cls = np.flatnonzero(fdeg == f)
-        for start in range(0, cls.size, rows):
-            verts = cls[start:start + rows]
-            block = fidx[fptr[verts][:, None] + np.arange(f)]
-            # rows ascend by id, so every pair already has a < b
-            probe = (block * np.int64(n))[:, ii].reshape(-1)
-            probe += block[:, jj].reshape(-1)
-            idx, loc, hit = lookup(probe, keys, table)
-            if alive is not None:
-                hit &= alive[loc]
-            t += int(np.count_nonzero(hit))
-            if fpos is not None and hit.any():
-                # the wedge's forward entries sit i and j places into row u
-                row, pair = np.divmod(idx[hit], npairs)
-                first = fptr[verts[row]]
-                pos_a.append(fpos[first + ii[pair]])
-                pos_b.append(fpos[first + jj[pair]])
-                pos_c.append(loc[hit])
+    positions = ([empty], [empty], [empty])
+    steps = _steps(fptr, max(1, WEDGE_CHUNK // threads))
+    for count, pieces in _in_order(probe_step, steps, threads):
+        t += count
+        if pieces is not None:
+            for out, piece in zip(positions, pieces):
+                # a worker allocates from its own glibc arena, which cannot
+                # reuse what the load freed in the main heap; a copy made
+                # here can, and lets the worker's piece go at once
+                out.append(piece if threads == 1 else piece.copy())
     if fpos is None:
         return t, None
-    return t, (np.concatenate(pos_a), np.concatenate(pos_b), np.concatenate(pos_c))
+    return t, tuple(np.concatenate(out) for out in positions)
 
 
 def count_forward(g: Graph, fptr: np.ndarray, fidx: np.ndarray, alive: np.ndarray) -> int:
@@ -115,12 +172,14 @@ def count_forward(g: Graph, fptr: np.ndarray, fidx: np.ndarray, alive: np.ndarra
     return _scan(g, fptr, fidx, alive)[0]
 
 
-def triangle_edge_positions(g: Graph) -> tuple[int, tuple[np.ndarray, np.ndarray, np.ndarray]]:
+def triangle_edge_positions(g: Graph, threads: int = 1
+                            ) -> tuple[int, tuple[np.ndarray, np.ndarray, np.ndarray]]:
     """Triangle count plus, per triangle, the positions of its three edges
     in the canonical edge arrays: ``g.fpos`` of its two forward entries
     and the position of the probed key. Works for weighted and unweighted
-    graphs (weights are ignored; only the topology matters)."""
-    return _scan(g, g.fptr, g.fidx, fpos=g.fpos)
+    graphs (weights are ignored; only the topology matters). The scan
+    runs on ``threads`` workers; the arrays do not depend on it."""
+    return _scan(g, g.fptr, g.fidx, fpos=g.fpos, threads=threads)
 
 
 def connected_triples(g: Graph) -> int:
@@ -129,10 +188,17 @@ def connected_triples(g: Graph) -> int:
     return sum(d * (d - 1) // 2 for d in g.degrees.tolist())
 
 
-def _delta_array(g: Graph) -> tuple[int, np.ndarray]:
-    t, positions = triangle_edge_positions(g)
-    # one bincount per array: concatenating all three would set a count's peak
-    return t, sum(np.bincount(pos, minlength=g.m) for pos in positions)
+def _delta_array(g: Graph, threads: int) -> tuple[int, np.ndarray]:
+    t, (a, b, c) = triangle_edge_positions(g, threads)
+    # one bincount per array (concatenating all three would set a count's
+    # peak), each array dropped once counted so the next bincount can
+    # reuse its memory
+    delta = np.bincount(a, minlength=g.m)
+    del a
+    delta += np.bincount(b, minlength=g.m)
+    del b
+    delta += np.bincount(c, minlength=g.m)
+    return t, delta
 
 
 def _stats_from_delta(g: Graph, t: int, delta: np.ndarray, edge_deltas: bool) -> TriangleStats:
@@ -146,18 +212,21 @@ def _stats_from_delta(g: Graph, t: int, delta: np.ndarray, edge_deltas: bool) ->
     return TriangleStats(t=t, delta_max=dmax, transitivity=trans, delta_per_edge=per_edge)
 
 
-def count_node_iterator(g: Graph, *, edge_deltas: bool = False) -> TriangleStats:
+def count_node_iterator(g: Graph, *, edge_deltas: bool = False,
+                        threads: int = 1) -> TriangleStats:
     """Exact count by examining, per vertex, the edges among its neighbors.
 
     Degree-then-id ordering restricts the examined pairs to higher-ranked
     neighbors so each triangle is counted once. Pair adjacency goes through
     the graph's screen over its edge keys, which rejects most non-edges at
     once; only pairs it passes are resolved by binary search on the sorted
-    canonical edge keys. Each step holds at most ``WEDGE_CHUNK`` pairs, or
-    one vertex's pairs where that vertex alone has more.
+    canonical edge keys. The steps run on ``threads`` workers, each step
+    holding at most ``WEDGE_CHUNK // threads`` pairs (at least one), so
+    the pairs in flight stay within ``WEDGE_CHUNK``; the result does not
+    depend on the thread count.
     """
     _require_unweighted(g, "count_node_iterator")
-    t, delta = _delta_array(g)
+    t, delta = _delta_array(g, threads)
     return _stats_from_delta(g, t, delta, edge_deltas)
 
 

@@ -102,10 +102,12 @@ def estimate_triangles(g: Graph, params: SparsifyParams) -> Estimate:
     )
 
 
-def count_weighted_triangles(g: Graph) -> float:
+def count_weighted_triangles(g: Graph, threads: int = 1) -> float:
     """Sum over triangles of the product w1 * w2 * w3 of their edge
-    weights. Unit weights reduce it to the plain count."""
-    t, (pa, pb, pc) = triangle_edge_positions(g)
+    weights. Unit weights reduce it to the plain count. The scan runs on
+    ``threads`` workers; triangle order, and so the sum, do not depend
+    on it."""
+    t, (pa, pb, pc) = triangle_edge_positions(g, threads)
     if t == 0:
         return 0.0
     w = g.weights if g.is_weighted else np.ones(g.m, dtype=np.float64)

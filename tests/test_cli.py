@@ -270,6 +270,27 @@ class TestThreadIndependence:
         # sampled records, not only exact ones, are compared
         assert any(rec["method"] == "doulion" and rec["ratio"] != 1.0 for rec in records)
 
+    @pytest.mark.parametrize("spec,argv", [
+        ("gnp:400:0.3", ["--census", "--delta"]),
+        ("weighted_book:300:50", ["--weighted"]),
+    ], ids=["census-delta", "weighted"])
+    def test_same_count_report_under_1_and_4_threads(self, tmp_path, spec, argv):
+        path = _gen(tmp_path, spec, seed=2)
+        payloads = []
+        for threads in ("1", "4"):
+            report = tmp_path / f"r{threads}.json"
+            assert main(["count", str(path), *argv, "--threads", threads,
+                         "--json", str(report)]) == 0
+            payload = _read_report(report)
+            del payload["graph"]["load_time"]
+            for key in ("count_time", "load_time"):
+                payload["summary"].pop(key, None)
+            payloads.append(payload)
+        assert payloads[0] == payloads[1]
+        summary = payloads[0]["summary"]
+        # the compared reports carry the per-edge counts or the weighted total
+        assert summary.get("delta_per_edge") or summary.get("weighted_triangle_total")
+
 
 class TestTrialSeeds:
     def test_estimate_and_bench_doulion_seeds(self, tmp_path):
@@ -399,8 +420,8 @@ class TestArgumentErrors:
 
     @pytest.mark.parametrize("threads", ["0", "-2"])
     @pytest.mark.parametrize("argv", [
-        ["estimate", "--p", "0.5", "--seed", "1"], ["adaptive"], ["bench"],
-    ], ids=["estimate", "adaptive", "bench"])
+        ["estimate", "--p", "0.5", "--seed", "1"], ["adaptive"], ["bench"], ["count"],
+    ], ids=["estimate", "adaptive", "bench", "count"])
     def test_thread_count_below_one_fails(self, tmp_path, capsys, argv, threads):
         path = _gen(tmp_path, "complete:5")
         capsys.readouterr()
@@ -420,8 +441,9 @@ class TestArgumentErrors:
         (["adaptive", "--threshold", "0"], "spread threshold must be positive, got 0.0"),
         (["adaptive", "--threads", "0"], "thread count must be at least 1, got 0"),
         (["bench", "--threads", "-1"], "thread count must be at least 1, got -1"),
+        (["count", "--threads", "0"], "thread count must be at least 1, got 0"),
     ], ids=["estimate-p", "estimate-runs", "estimate-threads", "adaptive-p0", "adaptive-runs",
-            "adaptive-threshold", "adaptive-threads", "bench-threads"])
+            "adaptive-threshold", "adaptive-threads", "bench-threads", "count-threads"])
     def test_bad_arguments_fail_before_loading(self, monkeypatch, capsys, argv, message):
         def no_load(*args, **kwargs):
             raise AssertionError("the graph was loaded")

@@ -1,3 +1,7 @@
+import sys
+import threading
+import time
+from concurrent import futures
 from dataclasses import astuple, replace
 
 import numpy as np
@@ -271,8 +275,7 @@ class TestScreenedKernel:
     @pytest.mark.parametrize("g", [complete(12), book(40), gnp(60, 0.3, 5)],
                              ids=["complete", "book", "gnp"])
     def test_step_budget(self, g, chunk, collect, monkeypatch):
-        run = triangle_edge_positions if collect else count_triangles
-        want = run(g)
+        want = triangle_edge_positions(g) if collect else (count_triangles(g), None)
         if chunk is not None:
             monkeypatch.setattr(exact, "WEDGE_CHUNK", chunk)
         sizes = []
@@ -283,12 +286,51 @@ class TestScreenedKernel:
             return lookup(probe, *args)
 
         monkeypatch.setattr(exact, "lookup", spy)
-        np.testing.assert_equal(run(g), want)
-        # every wedge probed once, as perfbench counts them; a step over
-        # the budget is one row's wedges, as for complete(12) at chunk 7
-        assert sum(sizes) == BENCH_LAYERS.forward_wedges(g)
-        f = np.diff(g.fptr)
-        assert all(s <= exact.WEDGE_CHUNK or s in (f * (f - 1) // 2) for s in sizes)
+        for threads in (1, 2):
+            sizes.clear()
+            np.testing.assert_equal(
+                exact._scan(g, g.fptr, g.fidx, fpos=g.fpos if collect else None,
+                            threads=threads), want)
+            # every wedge probed once, as perfbench counts them, and no step
+            # over the per-worker budget, not even one row's wedges, as for
+            # complete(12)'s top rows at chunk 7
+            assert sum(sizes) == BENCH_LAYERS.forward_wedges(g)
+            assert max(sizes) <= max(1, exact.WEDGE_CHUNK // threads)
+
+    def test_hub_row_is_split(self, monkeypatch):
+        # complete(12)'s top row has C(11, 2) = 55 wedges: at chunk 7 it
+        # takes eight steps, seven of 7 wedges and one of 6
+        g = complete(12)
+        monkeypatch.setattr(exact, "WEDGE_CHUNK", 7)
+        steps = [(f, ii.size, verts.size) for f, ii, _, verts in exact._steps(g.fptr, 7)]
+        assert steps.count((11, 7, 1)) == 7 and steps.count((11, 6, 1)) == 1
+        np.testing.assert_equal(triangle_edge_positions(g), searchsorted_node_scan(g))
+
+    @pytest.mark.parametrize("threads", [2, 3, 4])
+    @pytest.mark.parametrize("chunk", [8, 30])
+    @pytest.mark.parametrize("g", [complete(12), gnp(40, 0.3, 7)], ids=["complete", "gnp"])
+    def test_wedges_in_flight(self, g, chunk, threads, monkeypatch):
+        # steps that overlap in time never hold more than WEDGE_CHUNK
+        # wedges together, and they do overlap: the pause makes sure
+        want = triangle_edge_positions(g)
+        monkeypatch.setattr(exact, "WEDGE_CHUNK", chunk)
+        lock = threading.Lock()
+        held, peak, lookup = [0], [0], exact.lookup
+
+        def spy(probe, *args):
+            with lock:
+                held[0] += probe.size
+                peak[0] = max(peak[0], held[0])
+            time.sleep(0.001)
+            try:
+                return lookup(probe, *args)
+            finally:
+                with lock:
+                    held[0] -= probe.size
+
+        monkeypatch.setattr(exact, "lookup", spy)
+        np.testing.assert_equal(triangle_edge_positions(g, threads), want)
+        assert max(1, exact.WEDGE_CHUNK // threads) < peak[0] <= exact.WEDGE_CHUNK
 
 
 def _assert_edge_deltas(g: Graph) -> None:
@@ -315,6 +357,92 @@ _SHAPES = st.one_of(
               st.integers(0, 10), st.integers(0, 10)),
     _edge_lists().map(lambda graphs: graphs[0]),
 )
+
+
+def _assert_thread_independent(g: Graph, thread_counts=(2, 3, 4)) -> None:
+    """The node scan's triangle edge positions, and so its triangle
+    order, at each thread count against one thread."""
+    t, want = triangle_edge_positions(g)
+    for threads in thread_counts:
+        got_t, got = triangle_edge_positions(g, threads)
+        assert got_t == t
+        for a, b in zip(got, want):
+            np.testing.assert_array_equal(a, b)
+
+
+_CHUNKS = st.sampled_from([1, 7, exact.WEDGE_CHUNK])
+
+
+class TestThreadedScan:
+    @given(g=_SHAPES, chunk=_CHUNKS)
+    @settings(max_examples=60, deadline=None)
+    def test_positions_match_one_thread(self, g, chunk):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(exact, "WEDGE_CHUNK", chunk)
+            _assert_thread_independent(g)
+
+    @given(graphs=_edge_lists(), chunk=_CHUNKS)
+    @settings(max_examples=40, deadline=None)
+    def test_aliased_slot_table(self, graphs, chunk):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(exact, "WEDGE_CHUNK", chunk)
+            _assert_thread_independent(graphs[0])
+
+    def test_positions_match_under_thread_stress(self, monkeypatch):
+        # more workers than cores and frequent thread switches: steps
+        # finish out of order, and the scan must still collect them in
+        # step order
+        monkeypatch.setattr(exact, "WEDGE_CHUNK", 64)
+        old = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for seed in range(3):
+                _assert_thread_independent(gnp(120, 0.3, seed), (8,))
+        finally:
+            sys.setswitchinterval(old)
+
+    @pytest.mark.parametrize("chunk", [7, None], ids=["chunk7", "default"])
+    @pytest.mark.parametrize("g", [weighted_book(40, 50.0), gnp(80, 0.3, 4)],
+                             ids=["weighted-book", "gnp"])
+    def test_weighted_total(self, g, chunk, monkeypatch):
+        if not g.is_weighted:
+            w = np.random.default_rng(1).uniform(0.1, 10.0, g.m)
+            g = Graph.build(g.n, g.edge_u, g.edge_v, weights=w)
+        if chunk is not None:
+            monkeypatch.setattr(exact, "WEDGE_CHUNK", chunk)
+        assert count_weighted_triangles(g, 4) == count_weighted_triangles(g)
+
+    @pytest.mark.parametrize("g", [gnp(60, 0.3, 3), book(30)], ids=["gnp", "book"])
+    def test_node_iterator_stats(self, g, monkeypatch):
+        monkeypatch.setattr(exact, "WEDGE_CHUNK", 5)
+        want = count_node_iterator(g, edge_deltas=True)
+        assert count_node_iterator(g, edge_deltas=True, threads=3) == want
+
+    def test_one_thread_starts_no_pool(self, monkeypatch):
+        g = gnp(60, 0.3, 5)
+        want = count_node_iterator(g)
+
+        def no_pool(*args, **kwargs):
+            raise AssertionError("a serial scan started a pool")
+        monkeypatch.setattr(exact, "ThreadPoolExecutor", no_pool)
+        assert count_node_iterator(g) == want
+        assert count_triangles(g) == want.t
+
+    def test_pool_has_the_asked_workers(self, monkeypatch):
+        sizes = []
+
+        class Pool(futures.ThreadPoolExecutor):
+            def __init__(self, workers):
+                sizes.append(workers)
+                super().__init__(workers)
+        monkeypatch.setattr(exact, "ThreadPoolExecutor", Pool)
+        count_node_iterator(gnp(60, 0.3, 5), threads=3)
+        assert sizes == [3]
+
+    @pytest.mark.parametrize("threads", [0, -2])
+    def test_thread_count_below_one_rejected(self, threads):
+        with pytest.raises(ValueError, match="thread count must be at least 1"):
+            triangle_edge_positions(complete(4), threads)
 
 
 class TestVectorizedEdgeIterator:

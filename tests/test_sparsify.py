@@ -31,6 +31,7 @@ from trisparse import (
     weighted_book,
     weighted_sparsify,
 )
+from trisparse.adaptive import run_trials
 
 # the package's own ``sparsify`` attribute is the function
 sparsify_module = importlib.import_module("trisparse.sparsify")
@@ -234,6 +235,19 @@ class TestMaskedTrial:
             monkeypatch.setattr(module, "slot_table", no_table)
         assert [estimate_triangles(g, SparsifyParams(p=p, seed=s)).t_prime
                 for p in (0.5, 1.0) for s in range(3)] == want
+
+    def test_starts_no_pool(self, monkeypatch):
+        # trials run in parallel with each other; a pool inside each would
+        # oversubscribe the cores, so a trial's scan runs inline
+        g = gnp(80, 0.3, 2)
+        want = [e.t_prime for e in run_trials(g, 0.5, 3, 0, 4, threads=2)]
+
+        def no_pool(*args, **kwargs):
+            raise AssertionError("a trial started a pool in exact")
+        monkeypatch.setattr(exact, "ThreadPoolExecutor", no_pool)
+        assert [e.t_prime for e in run_trials(g, 0.5, 3, 0, 4, threads=2)] == want
+        assert estimate_triangles(g, SparsifyParams(p=0.5, seed=trial_seed(3, 0, 0))).t_prime \
+            == want[0]
 
     def test_rejects_weighted(self):
         with pytest.raises(ValueError):
