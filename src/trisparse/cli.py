@@ -109,7 +109,7 @@ def cmd_count(args) -> int:
     if args.algo == "brute":
         t = exact.count_brute_force(g)
         delta_max = None
-        trans = exact.transitivity(g)
+        trans = exact.transitivity(g, t)
         per_edge = None
     else:
         if args.algo == "node":

@@ -18,7 +18,8 @@ DEFAULT_BRUTE_LIMIT = 1000
 # Most wedges the node scan holds at once, across all its workers: each
 # of ``threads`` workers runs one step at a time, and a step holds at
 # most max(1, WEDGE_CHUNK // threads) wedges. The edge iterator, which
-# runs serially, holds at most this many probes per step, or one edge's.
+# runs serially, holds at most this many probes per step, or one edge's,
+# and gathers at most this many bitmap words per block, or one row's.
 WEDGE_CHUNK = 1 << 18
 
 
@@ -56,8 +57,11 @@ def forward_sample(g: Graph, mask: np.ndarray):
     """Forward CSR of the subgraph of g keeping the canonical edges where
     ``mask`` holds, without building it. g's vertex order is still a
     total order on the sample, so ``count_forward`` finds each of its
-    triangles once."""
+    triangles once. When every edge survives that is g's own CSR, with
+    no copy."""
     _require_unweighted(g, "forward_sample")
+    if mask.all():
+        return g.fptr, g.fidx
     keep = mask[g.fpos]
     kept = np.zeros(keep.size + 1, dtype=np.int64)
     np.cumsum(keep, out=kept[1:])
@@ -202,8 +206,7 @@ def _delta_array(g: Graph, threads: int) -> tuple[int, np.ndarray]:
 
 
 def _stats_from_delta(g: Graph, t: int, delta: np.ndarray, edge_deltas: bool) -> TriangleStats:
-    p2 = connected_triples(g)
-    trans = (3 * t / p2) if p2 > 0 else 0.0
+    trans = transitivity(g, t)
     per_edge = None
     if edge_deltas:
         per_edge = {(int(u), int(v)): int(d)
@@ -230,50 +233,101 @@ def count_node_iterator(g: Graph, *, edge_deltas: bool = False,
     return _stats_from_delta(g, t, delta, edge_deltas)
 
 
+def _bitmap_rows(g: Graph, dense: np.ndarray, words: int) -> tuple[np.ndarray, np.ndarray]:
+    """Adjacency bitmaps of the ``dense`` vertices: row rank[x] of the
+    (#dense, words) uint64 array has bit c & 63 of word c >> 6 set for
+    every neighbor c of x."""
+    rank = np.cumsum(dense) - 1
+    rows = np.zeros((np.count_nonzero(dense), words), dtype=np.uint64)
+    flat = rows.reshape(-1)
+    # WEDGE_CHUNK edges at a time, so the temporaries stay bounded
+    for a in range(0, g.m, WEDGE_CHUNK):
+        u, v = g.edge_u[a:a + WEDGE_CHUNK], g.edge_v[a:a + WEDGE_CHUNK]
+        for x, c in ((u, v), (v, u)):
+            keep = dense[x]
+            x, c = x[keep], c[keep]
+            np.bitwise_or.at(flat, rank[x] * words + (c >> 6),
+                             np.left_shift(np.uint64(1), (c & 63).astype(np.uint64)))
+    return rank, rows
+
+
+def _common_neighbors(rows: np.ndarray, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """popcount(rows[x] AND rows[y]) for each pair: the common neighbors
+    of the two dense vertices."""
+    block = rows[x]
+    block &= rows[y]
+    return np.bitwise_count(block).sum(axis=1)
+
+
 def count_edge_iterator(g: Graph, *, edge_deltas: bool = False) -> TriangleStats:
-    """Exact count by the hashed edge iterator (Schank & Wagner): every
-    neighbor w of an edge's lower-degree endpoint is probed against its
-    other endpoint through the screen-then-confirm lookup the node
-    iterator uses, here over the sorted keys of both directions of every
-    edge. An edge's hits are its triangle count; their total is 3t since
-    every triangle is seen from each of its three edges. It builds its
-    own symmetric neighbor lists from those keys, so it shares no
-    orientation with the node iterator and cross-checks it. It makes
-    sum min(deg u, deg v) probes, at most ``WEDGE_CHUNK`` per step, or
-    one edge's where that edge alone has more.
+    """Exact count by the edge iterator (Schank & Wagner): an edge's
+    triangle count is the number of common neighbors of its endpoints,
+    and the total over all edges is 3t, since every triangle is seen
+    from each of its three edges. It shares no orientation with the node
+    iterator, and so cross-checks it.
+
+    A vertex is dense when its bitmap row of ceil(n/64) words is no
+    longer than its neighbor list. An edge between two dense vertices
+    is counted by one AND and popcount of their rows, in steps whose
+    gathered blocks hold at most ``WEDGE_CHUNK`` words. Every other edge
+    probes each neighbor w of its lower-degree endpoint against its other
+    endpoint, through the screen-then-confirm lookup the node iterator
+    uses, here over the sorted keys of both directions of every edge: sum
+    min(deg u, deg v) probes over those edges, at most ``WEDGE_CHUNK`` per
+    step, or one edge's where that edge alone has more.
     """
     _require_unweighted(g, "count_edge_iterator")
     n, m = g.n, g.m
-    # sorted keys u*n+w of both directions of every edge: row u of them
-    # is N(u), ascending
-    keys = np.concatenate([g.edge_u * np.int64(n) + g.edge_v, g.edge_v * np.int64(n) + g.edge_u])
-    keys.sort()
     deg = g.degrees
-    ptr = np.zeros(n + 1, dtype=np.int64)
-    np.cumsum(deg, out=ptr[1:])
-    swap = deg[g.edge_u] > deg[g.edge_v]
-    # edge i's probes are ends[i]:ends[i + 1] in the run of all probes
-    ends = np.zeros(m + 1, dtype=np.int64)
-    np.cumsum(np.minimum(deg[g.edge_u], deg[g.edge_v]), out=ends[1:])
-    table = slot_table(keys, n)
     delta = np.zeros(m, dtype=np.int64)
-    a = 0
-    while a < m:
-        b = max(a + 1, int(np.searchsorted(ends, ends[a] + WEDGE_CHUNK, side="right")) - 1)
-        u, v = g.edge_u[a:b], g.edge_v[a:b]
-        lo = np.where(swap[a:b], v, u)
-        first = ends[a:b] - ends[a]
-        count = deg[lo]
-        probe = np.repeat(ptr[lo] - first, count)
-        probe += np.arange(probe.size)
-        probe = keys[probe]
-        # the key of (hi, w) is the key of (lo, w) plus (hi - lo) * n; an
-        # edge's probes ascend within row hi, so its searches share cache lines
-        probe += np.repeat((u + v - 2 * lo) * np.int64(n), count)
-        idx, _, hit = lookup(probe, keys, table)
-        edge = np.searchsorted(first, idx[hit], side="right") - 1
-        delta[a:b] = np.bincount(edge, minlength=b - a)
-        a = b
+    words = -(-n // 64)
+    dense = deg >= words
+    both = dense[g.edge_u] & dense[g.edge_v]
+    pair = np.flatnonzero(both)
+    if pair.size:
+        rank, rows = _bitmap_rows(g, dense, words)
+        step = max(1, WEDGE_CHUNK // words)
+        for a in range(0, pair.size, step):
+            e = pair[a:a + step]
+            delta[e] = _common_neighbors(rows, rank[g.edge_u[e]], rank[g.edge_v[e]])
+        # e is a view of pair: all of them go before the keys are built
+        del rank, rows, e
+    del pair
+    if not both.all():
+        # edge i makes min(deg u, deg v) probes, none if both ends are
+        # dense; they are ends[i]:ends[i + 1] in the run of all probes
+        ends = np.zeros(m + 1, dtype=np.int64)
+        np.cumsum(np.where(both, 0, np.minimum(deg[g.edge_u], deg[g.edge_v])), out=ends[1:])
+        # sorted keys u*n+w of both directions of every edge: row u of
+        # them is N(u), ascending
+        keys = np.concatenate([g.edge_u * np.int64(n) + g.edge_v,
+                               g.edge_v * np.int64(n) + g.edge_u])
+        keys.sort()
+        ptr = np.zeros(n + 1, dtype=np.int64)
+        np.cumsum(deg, out=ptr[1:])
+        table = slot_table(keys, n)
+        a = 0
+        while ends[a] < ends[m]:
+            # through the next edge with probes, and on while the step
+            # stays within WEDGE_CHUNK probes
+            nxt, full = np.searchsorted(ends, (ends[a], ends[a] + WEDGE_CHUNK), side="right").tolist()
+            b = max(nxt, full - 1)
+            # the step's edges with probes, each starting first[i] into it
+            e = a + np.flatnonzero(~both[a:b])
+            u, v = g.edge_u[e], g.edge_v[e]
+            lo = np.where(deg[u] > deg[v], v, u)
+            first = ends[e] - ends[a]
+            count = deg[lo]
+            probe = np.repeat(ptr[lo] - first, count)
+            probe += np.arange(probe.size)
+            probe = keys[probe]
+            # the key of (hi, w) is the key of (lo, w) plus (hi - lo) * n; an
+            # edge's probes ascend within row hi, so its searches share cache lines
+            probe += np.repeat((u + v - 2 * lo) * np.int64(n), count)
+            idx, _, hit = lookup(probe, keys, table)
+            edge = np.searchsorted(first, idx[hit], side="right") - 1
+            delta[e] = np.bincount(edge, minlength=e.size)
+            a = b
     total = int(delta.sum())
     if total % 3:
         raise AssertionError("edge-iterator invariant violated: sum of per-edge counts not divisible by 3")
@@ -327,11 +381,13 @@ def triple_census(g: Graph, t: int | None = None) -> TripleCensus:
     return TripleCensus(t0=t0, t1=t1, t2=t2, t3=t3)
 
 
-def transitivity(g: Graph) -> float:
+def transitivity(g: Graph, t: int | None = None) -> float:
     """Global transitivity ratio 3t / #connected-triples (0 when the
-    graph has no paths of length two)."""
+    graph has no paths of length two). t is counted when not given."""
     _require_unweighted(g, "transitivity")
     p2 = connected_triples(g)
     if p2 == 0:
         return 0.0
-    return 3 * count_triangles(g) / p2
+    if t is None:
+        t = count_triangles(g)
+    return 3 * t / p2

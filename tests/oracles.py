@@ -132,6 +132,15 @@ def edge_subset_graph(g: Graph, mask: np.ndarray) -> Graph:
     return Graph.build(g.n, g.edge_u[mask], g.edge_v[mask])
 
 
+def filtered_forward_sample(g: Graph, mask: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The forward CSR of the edges where ``mask`` holds, filtered out of
+    g's whole forward CSR: ``exact.forward_sample`` must give these
+    arrays, including when it skips the filter because every edge survives."""
+    keep = mask[g.fpos]
+    kept = np.concatenate([[0], np.cumsum(keep)])
+    return kept[g.fptr], g.fidx[keep]
+
+
 def forward_csr(g: Graph) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Reference for the forward CSR that ``Graph.build`` stores: vertices
     ranked by an argsort of their degrees (ties by id), each canonical

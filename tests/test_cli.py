@@ -77,6 +77,24 @@ class TestCount:
             results[algo] = _read_report(report)["summary"]["t"]
         assert len(set(results.values())) == 1
 
+    def test_brute_counts_once(self, tmp_path, monkeypatch):
+        path = _gen(tmp_path, "gnp:25:0.3", seed=2)
+        reports = [tmp_path / "node.json", tmp_path / "brute.json"]
+        assert main(["count", str(path), "--algo", "node", "--census",
+                     "--json", str(reports[0])]) == 0
+
+        def no_count(g):
+            raise AssertionError("count --algo brute counted twice")
+        # transitivity comes from brute force's own t, not a second count
+        monkeypatch.setattr(cli.exact, "count_triangles", no_count)
+        assert main(["count", str(path), "--algo", "brute", "--census",
+                     "--json", str(reports[1])]) == 0
+        node, brute = (_read_report(r)["summary"] for r in reports)
+        assert brute["algo"] == "brute" and brute["delta_max"] is None
+        for key in ("t", "transitivity", "census"):
+            assert brute[key] == node[key]
+        assert brute["transitivity"] > 0
+
     def test_delta_flag(self, tmp_path):
         path = _gen(tmp_path, "book:3")
         report = tmp_path / "r.json"

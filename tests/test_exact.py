@@ -1,3 +1,4 @@
+import itertools
 import sys
 import threading
 import time
@@ -342,9 +343,47 @@ def _assert_edge_deltas(g: Graph) -> None:
     assert edge == node
 
 
-def _min_degree_probes(g: Graph) -> np.ndarray:
-    """Probes the edge iterator makes per canonical edge, min(deg u, deg v)."""
-    return np.minimum(g.degrees[g.edge_u], g.degrees[g.edge_v])
+def _dense_pairs(g: Graph) -> np.ndarray:
+    """The canonical edges whose two endpoints are dense: of degree at
+    least ceil(n/64), the words of a bitmap row."""
+    dense = g.degrees >= -(-g.n // 64)
+    return dense[g.edge_u] & dense[g.edge_v]
+
+
+def _edge_probes(g: Graph) -> np.ndarray:
+    """Probes the edge iterator makes per canonical edge: min(deg u, deg v)
+    where an endpoint is not dense, none where both are."""
+    return np.where(_dense_pairs(g), 0, np.minimum(g.degrees[g.edge_u], g.degrees[g.edge_v]))
+
+
+def _spy_edge_iterator(monkeypatch):
+    """Record the size of every lookup, and the (edges, words) of every
+    bitmap step's gathered blocks."""
+    sizes, blocks = [], []
+    lookup, common = exact.lookup, exact._common_neighbors
+
+    def spy_lookup(probe, *args):
+        sizes.append(probe.size)
+        return lookup(probe, *args)
+
+    def spy_common(rows, x, y):
+        assert x.size == y.size
+        blocks.append((x.size, rows.shape[1]))
+        return common(rows, x, y)
+
+    monkeypatch.setattr(exact, "lookup", spy_lookup)
+    monkeypatch.setattr(exact, "_common_neighbors", spy_common)
+    return sizes, blocks
+
+
+def _word_boundary() -> Graph:
+    """Dense vertices on both sides of each bitmap word boundary (63/64,
+    127/128) and half a word in (32, 96), on n = 130, whose third word is
+    partial; vertex 5 (degree 2, not dense) closes a triangle on the
+    63-64 edge, and vertex 100 hangs off vertex 0."""
+    clique = [0, 32, 63, 64, 96, 127, 128, 129]
+    us, vs = (list(side) for side in zip(*itertools.combinations(clique, 2)))
+    return Graph.build(130, us + [5, 5, 0], vs + [63, 64, 100])
 
 
 _SHAPES = st.one_of(
@@ -459,32 +498,67 @@ class TestVectorizedEdgeIterator:
         _assert_edge_deltas(g)
 
     @pytest.mark.parametrize("chunk", [1, 7, None], ids=["chunk1", "chunk7", "default"])
-    @pytest.mark.parametrize("g", [star(40), book(40), with_isolated(book(25), 4, 6)],
-                             ids=["star", "book", "book-isolated"])
+    @pytest.mark.parametrize("g", [star(200), book(200), with_isolated(book(150), 4, 70),
+                                   gnp(100, 0.025, 3)],
+                             ids=["star", "book", "book-isolated", "gnp-mixed"])
     def test_step_budget(self, g, chunk, monkeypatch):
         want = count_edge_iterator(g, edge_deltas=True)
-        probes = _min_degree_probes(g)
+        probes = _edge_probes(g)
+        words = -(-g.n // 64)
         if chunk is not None:
             monkeypatch.setattr(exact, "WEDGE_CHUNK", chunk)
-            # the hub's run of edges spans more than one step
-            hub = int(np.argmax(g.degrees))
-            assert probes[g.edge_u == hub].sum() > chunk
-        sizes = []
-        lookup = exact.lookup
-
-        def spy(probe, *args):
-            sizes.append(probe.size)
-            return lookup(probe, *args)
-
-        monkeypatch.setattr(exact, "lookup", spy)
+            # the probed edges span more than one step
+            assert probes.sum() > chunk
+        sizes, blocks = _spy_edge_iterator(monkeypatch)
         got = count_edge_iterator(g, edge_deltas=True)
         assert got == want
         assert got.delta_per_edge == intersect_edge_deltas(g)
         # every probe made once; a step over the budget is one edge's probes,
-        # as for the book's hub edge at chunk 7
+        # as for a book page's two at chunk 1
         assert sum(sizes) == probes.sum()
+        assert 0 not in sizes
         assert all(s <= exact.WEDGE_CHUNK or s in probes for s in sizes)
         assert any(s > exact.WEDGE_CHUNK for s in sizes) == (probes.max() > exact.WEDGE_CHUNK)
+        # every dense pair counted once, max(1, WEDGE_CHUNK // words) per
+        # step, so a gathered block holds at most WEDGE_CHUNK words, or one row
+        step = max(1, exact.WEDGE_CHUNK // words)
+        assert sum(k for k, _ in blocks) == _dense_pairs(g).sum()
+        assert [k for k, _ in blocks[:-1]] == [step] * (len(blocks) - 1)
+        assert all(w == words and (k * w <= exact.WEDGE_CHUNK or k == 1) for k, w in blocks)
+
+    @pytest.mark.parametrize("g", [book(200), with_isolated(book(150), 4, 70),
+                                   with_isolated(gnp(80, 0.06, 1), 30, 50),
+                                   gnp(150, 0.04, 6), _word_boundary()],
+                             ids=["book", "book-isolated", "gnp-isolated", "gnp", "word-boundary"])
+    def test_both_paths_in_one_call(self, g, monkeypatch):
+        assert g.n > 64 and g.n % 64
+        sizes, blocks = _spy_edge_iterator(monkeypatch)
+        got = count_edge_iterator(g, edge_deltas=True)
+        assert sum(sizes) == _edge_probes(g).sum() > 0
+        assert sum(k for k, _ in blocks) == _dense_pairs(g).sum() > 0
+        monkeypatch.undo()
+        assert got.delta_per_edge == intersect_edge_deltas(g)
+        assert got == count_node_iterator(g, edge_deltas=True)
+
+    def test_word_boundary_counts(self):
+        got = count_edge_iterator(_word_boundary(), edge_deltas=True).delta_per_edge
+        # the clique's 8 vertices, plus vertex 5 on edge 63-64
+        assert got[(63, 64)] == 7
+        assert got[(0, 32)] == got[(96, 129)] == got[(127, 128)] == 6
+        assert got[(5, 63)] == got[(5, 64)] == 1
+        assert got[(0, 100)] == 0
+
+    @pytest.mark.parametrize("g", [gnp(100, 0.5, 1), with_isolated(complete(20), 40, 100)],
+                             ids=["gnp", "complete-isolated"])
+    def test_all_dense_builds_no_screen(self, g, monkeypatch):
+        # every edge joins two dense vertices: no symmetric keys, no screen
+        want = intersect_edge_deltas(g)
+
+        def no_table(*args, **kwargs):
+            raise AssertionError("the edge iterator built a screen")
+        monkeypatch.setattr(exact, "slot_table", no_table)
+        assert _dense_pairs(g).all()
+        assert count_edge_iterator(g, edge_deltas=True).delta_per_edge == want
 
     @pytest.mark.parametrize("g", [gnp(40, 0.3, 9), book(30), complete(8),
                                    with_isolated(complete(6), 3, 5)],

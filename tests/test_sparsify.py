@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from oracles import (
     edge_weight,
     exhaustive_sparsify_expectation,
+    filtered_forward_sample,
     star,
     weighted_total_by_enumeration,
     with_isolated,
@@ -252,6 +253,38 @@ class TestMaskedTrial:
     def test_rejects_weighted(self):
         with pytest.raises(ValueError):
             estimate_triangles(weighted_book(3, 2.0), SparsifyParams(p=0.5))
+
+
+class TestForwardSample:
+    @pytest.mark.parametrize("name", SHAPES)
+    def test_every_edge_surviving_passes_the_parents_csr(self, name):
+        g = SHAPES[name]
+        mask = np.ones(g.m, dtype=bool)
+        fptr, fidx = exact.forward_sample(g, mask)
+        assert fptr is g.fptr and fidx is g.fidx
+        for got, want in zip((fptr, fidx), filtered_forward_sample(g, mask)):
+            np.testing.assert_array_equal(got, want)
+
+    @given(g=_graphs(), p=st.floats(0.0, 1.0), seed=st.integers(0, 10**6))
+    @settings(max_examples=60, deadline=None)
+    def test_matches_the_filter(self, g, p, seed):
+        mask = np.random.default_rng(seed).random(g.m) < p
+        for got, want in zip(exact.forward_sample(g, mask), filtered_forward_sample(g, mask)):
+            np.testing.assert_array_equal(got, want)
+
+    @pytest.mark.parametrize("name", ["book", "gnp", "gnp-spread"])
+    def test_trials_at_p_one_match_under_1_and_2_threads(self, name, monkeypatch):
+        g = SHAPES[name]
+
+        def fields(trials):
+            return [(e.params, e.surviving_edges, e.t_prime, e.estimate) for e in trials]
+        want = fields(run_trials(g, 1.0, 5, 0, 4, threads=1))
+        assert fields(run_trials(g, 1.0, 5, 0, 4, threads=2)) == want
+        assert all(t_prime == count_triangles(g) for _, _, t_prime, _ in want)
+        # the same trials through the filtered copy of the forward CSR
+        monkeypatch.setattr(sparsify_module, "forward_sample", filtered_forward_sample)
+        for threads in (1, 2):
+            assert fields(run_trials(g, 1.0, 5, 0, 4, threads=threads)) == want
 
 
 class TestExhaustiveUnbiasedness:
