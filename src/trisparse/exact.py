@@ -21,6 +21,8 @@ DEFAULT_BRUTE_LIMIT = 1000
 # runs serially, holds at most this many probes per step, or one edge's,
 # and gathers at most this many bitmap words per block, or one row's.
 WEDGE_CHUNK = 1 << 18
+# Forward entries whose survivors a trial's sample collects at once.
+SAMPLE_CHUNK = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -54,18 +56,53 @@ def _require_unweighted(g: Graph, what: str) -> None:
 
 
 def forward_sample(g: Graph, mask: np.ndarray):
-    """Forward CSR of the subgraph of g keeping the canonical edges where
-    ``mask`` holds, without building it. g's vertex order is still a
-    total order on the sample, so ``count_forward`` finds each of its
-    triangles once. When every edge survives that is g's own CSR, with
-    no copy."""
+    """The forward rows of the subgraph of g keeping the canonical edges
+    where ``mask`` holds, without building it: (first, fdeg, fidx). The
+    surviving forward entries ``fidx`` keep g's forward order, and each
+    row that keeps at least two of them, the only rows with wedges,
+    starts ``first`` into fidx and holds ``fdeg`` entries. g's vertex
+    order is still a total order on the sample, so ``count_forward``
+    finds each of its triangles once. Past gathering the mask into
+    forward order, the cost is O(pm): an entry's row is the other
+    endpoint of its canonical edge, so g's ``fptr`` is never read. When
+    every edge survives the rows are g's own and fidx is g's, with no
+    copy."""
     _require_unweighted(g, "forward_sample")
     if mask.all():
-        return g.fptr, g.fidx
-    keep = mask[g.fpos]
-    kept = np.zeros(keep.size + 1, dtype=np.int64)
-    np.cumsum(keep, out=kept[1:])
-    return kept[g.fptr], g.fidx[keep]
+        return *_forward_rows(g), g.fidx
+    fidx = np.empty(np.count_nonzero(mask), dtype=np.int64)
+    # same[k]: surviving entries k - 1 and k share a row, that is, the
+    # other endpoints of their canonical edges agree. Worked out for
+    # SAMPLE_CHUNK forward entries at a time, so the temporaries stay small.
+    same = np.zeros(fidx.size + 1, dtype=bool)
+    at, last = 0, -1
+    for a in range(0, g.m, SAMPLE_CHUNK):
+        chunk = g.fpos[a:a + SAMPLE_CHUNK]
+        pos = np.flatnonzero(mask[chunk])
+        if not pos.size:
+            continue
+        dst = fidx[at:at + pos.size]
+        np.take(g.fidx[a:a + SAMPLE_CHUNK], pos, out=dst, mode="clip")
+        edge = chunk[pos]
+        src = g.edge_u[edge]
+        src += g.edge_v[edge]
+        src -= dst
+        same[at] = src[0] == last
+        np.equal(src[1:], src[:-1], out=same[at + 1:at + pos.size])
+        at, last = at + pos.size, src[-1]
+    # a run of same from k to l is the row of entries k - 1 to l
+    first = np.flatnonzero(same[1:] > same[:-1])
+    fdeg = np.flatnonzero(same[1:] < same[:-1])
+    fdeg -= first
+    fdeg += 1
+    return first, fdeg, fidx
+
+
+def _forward_rows(g: Graph) -> tuple[np.ndarray, np.ndarray]:
+    """(first, fdeg) of g's forward rows of at least two entries."""
+    fdeg = np.diff(g.fptr)
+    rows = np.flatnonzero(fdeg >= 2)
+    return g.fptr[rows], fdeg[rows]
 
 
 def check_threads(threads: int) -> None:
@@ -74,19 +111,18 @@ def check_threads(threads: int) -> None:
         raise ValueError(f"thread count must be at least 1, got {threads}")
 
 
-def _steps(fptr: np.ndarray, budget: int):
-    """The node scan's steps, in scan order. A step (f, ii, jj, verts)
-    stands for the wedges (ii[k], jj[k]) of each row in ``verts``, all of
-    forward degree f, at most ``budget`` of them: a run of whole rows of
-    one degree class, or a run of one row's pairs where that row alone
-    has more. A row's runs are consecutive, so the scan's hits come in
-    the same order whatever the budget."""
-    fdeg = np.diff(fptr)
+def _steps(first, fdeg, budget: int):
+    """The node scan's steps, in scan order, over the forward rows that
+    start ``first`` into fidx and hold ``fdeg`` >= 2 entries, in forward
+    order. A step (f, ii, jj, starts) stands for the wedges (ii[k], jj[k])
+    of each row starting at ``starts``, all of f entries, at most
+    ``budget`` of them: a run of whole rows of one degree class, or a run
+    of one row's pairs where that row alone has more. A row's runs are
+    consecutive, so the scan's hits come in the same order whatever the
+    budget."""
     for f in np.flatnonzero(np.bincount(fdeg)).tolist():
-        if f < 2:
-            continue
         ii, jj = np.triu_indices(f, 1)
-        cls = np.flatnonzero(fdeg == f)
+        cls = first[fdeg == f]
         if ii.size <= budget:
             rows = budget // ii.size
             for start in range(0, cls.size, rows):
@@ -116,15 +152,16 @@ def _in_order(fn, steps, threads: int):
             yield ahead.popleft().result()
 
 
-def _scan(g: Graph, fptr: np.ndarray, fidx: np.ndarray,
+def _scan(g: Graph, first: np.ndarray, fdeg: np.ndarray, fidx: np.ndarray,
           alive: np.ndarray | None = None, fpos: np.ndarray | None = None,
           threads: int = 1):
     """Node-iterator core (forward / compact-forward, Schank & Wagner):
     for every vertex, test adjacency between pairs of its forward
-    neighbors, given as the CSR ``fptr, fidx`` of g or of its sample of
-    the edges where ``alive`` holds. Each triangle is found exactly once,
-    at its lowest-ranked vertex. A probe is a ``lookup`` in g's keys
-    through g's screen, and a hit counts only if that edge is alive.
+    neighbors, given as the rows ``first, fdeg`` into ``fidx`` of g or of
+    its sample of the edges where ``alive`` holds (``forward_sample``).
+    Each triangle is found exactly once, at its lowest-ranked vertex. A
+    probe is a ``lookup`` in g's keys through g's screen, and a hit
+    counts only if that edge is alive.
     With ``threads`` > 1 the steps run on a pool of that many workers
     and are collected in step order, so the result does not depend on
     the thread count; the wedges in flight stay within ``WEDGE_CHUNK``.
@@ -137,11 +174,20 @@ def _scan(g: Graph, fptr: np.ndarray, fidx: np.ndarray,
     n, keys, table = g.n, g.edge_keys, g.screen
 
     def probe_step(step):
-        f, ii, jj, verts = step
-        block = fidx[fptr[verts][:, None] + np.arange(f)]
-        # rows ascend by id, so every pair already has a < b
-        probe = (block * np.int64(n))[:, ii].reshape(-1)
-        probe += block[:, jj].reshape(-1)
+        f, ii, jj, starts = step
+        # block[c] holds entry c of each of the step's rows and probe[k]
+        # their wedges of pair k, so every numpy loop runs over all those
+        # rows however small f is. Rows ascend by id, so a < b in each pair.
+        block = fidx[np.arange(f)[:, None] + starts]
+        probe = block[ii]
+        probe *= n
+        probe += block[jj]
+        # freed before the lookup allocates: held, it lifted a p = 0.93
+        # trial on book(300000) past glibc's trim threshold, and each such
+        # trial faulted some 12 MiB back in (about 3,100 page faults)
+        del block
+        # in scan order: a row's wedges together, pair by pair
+        probe = probe.T.reshape(-1)
         idx, loc, hit = lookup(probe, keys, table)
         if alive is not None:
             hit &= alive[loc]
@@ -149,14 +195,14 @@ def _scan(g: Graph, fptr: np.ndarray, fidx: np.ndarray,
             return int(np.count_nonzero(hit)), None
         # the wedge's forward entries sit ii and jj places into its row
         row, pair = np.divmod(idx[hit], ii.size)
-        first = fptr[verts[row]]
-        return row.size, (fpos[first + ii[pair]], fpos[first + jj[pair]], loc[hit])
+        at = starts[row]
+        return row.size, (fpos[at + ii[pair]], fpos[at + jj[pair]], loc[hit])
 
     t = 0
     # a leading empty array keeps each concatenation int64 when t = 0
     empty = np.empty(0, dtype=np.int64)
     positions = ([empty], [empty], [empty])
-    steps = _steps(fptr, max(1, WEDGE_CHUNK // threads))
+    steps = _steps(first, fdeg, max(1, WEDGE_CHUNK // threads))
     for count, pieces in _in_order(probe_step, steps, threads):
         t += count
         if pieces is not None:
@@ -170,10 +216,11 @@ def _scan(g: Graph, fptr: np.ndarray, fidx: np.ndarray,
     return t, tuple(np.concatenate(out) for out in positions)
 
 
-def count_forward(g: Graph, fptr: np.ndarray, fidx: np.ndarray, alive: np.ndarray) -> int:
+def count_forward(g: Graph, first: np.ndarray, fdeg: np.ndarray, fidx: np.ndarray,
+                  alive: np.ndarray) -> int:
     """Triangle count of the sample of g whose canonical edges are those
-    where ``alive`` holds, given its forward CSR from ``forward_sample``."""
-    return _scan(g, fptr, fidx, alive)[0]
+    where ``alive`` holds, given its forward rows from ``forward_sample``."""
+    return _scan(g, first, fdeg, fidx, alive)[0]
 
 
 def triangle_edge_positions(g: Graph, threads: int = 1
@@ -183,13 +230,15 @@ def triangle_edge_positions(g: Graph, threads: int = 1
     and the position of the probed key. Works for weighted and unweighted
     graphs (weights are ignored; only the topology matters). The scan
     runs on ``threads`` workers; the arrays do not depend on it."""
-    return _scan(g, g.fptr, g.fidx, fpos=g.fpos, threads=threads)
+    return _scan(g, *_forward_rows(g), g.fidx, fpos=g.fpos, threads=threads)
 
 
 def connected_triples(g: Graph) -> int:
     """Number of paths of length two: sum over vertices of C(deg, 2)."""
+    count = np.bincount(g.degrees)
+    deg = np.flatnonzero(count)
     # tolist() gives Python ints, keeping the sum exact on huge graphs
-    return sum(d * (d - 1) // 2 for d in g.degrees.tolist())
+    return sum(c * (d * (d - 1) // 2) for d, c in zip(deg.tolist(), count[deg].tolist()))
 
 
 def _delta_array(g: Graph, threads: int) -> tuple[int, np.ndarray]:
@@ -357,7 +406,7 @@ def count_triangles(g: Graph) -> int:
     """Triangle count only, skipping per-edge bookkeeping. The fast path
     for estimators that need nothing but t."""
     _require_unweighted(g, "count_triangles")
-    return _scan(g, g.fptr, g.fidx)[0]
+    return _scan(g, *_forward_rows(g), g.fidx)[0]
 
 
 def triple_census(g: Graph, t: int | None = None) -> TripleCensus:

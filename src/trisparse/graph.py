@@ -119,10 +119,19 @@ class Graph:
             w = w[keep]
 
         keys = lo * np.int64(n) + hi
-        uniq, first = np.unique(keys, return_index=True)
-        edge_u_f = lo[first]
-        edge_v_f = hi[first]
-        if w is not None:
+        if w is None:
+            # no weight to keep, so any copy of an edge will do
+            del lo, hi
+            keys.sort()
+            new = np.ones(keys.size, dtype=bool)
+            np.not_equal(keys[1:], keys[:-1], out=new[1:])
+            uniq = keys[new]
+            del keys, new
+            edge_u_f, edge_v_f = np.divmod(uniq, n)
+        else:
+            uniq, first = np.unique(keys, return_index=True)
+            edge_u_f = lo[first]
+            edge_v_f = hi[first]
             w = w[first]
             if not np.all((w > 0) & (w < np.inf)):
                 raise ValueError("edge weights must be positive and finite")

@@ -52,7 +52,10 @@ def survival_mask(m: int, params: SparsifyParams) -> np.ndarray:
     """Survival decisions for m canonical edges: one uniform draw per edge,
     in canonical (u < v, lexicographic) order; edge i survives iff its draw
     is below p. The inversion rule makes survival sets monotone in p for a
-    fixed seed, and the i-th decision depends only on the i-th draw."""
+    fixed seed, and the i-th decision depends only on the i-th draw.
+    Every draw is below 1, so at p = 1 no draw is made."""
+    if params.p == 1.0:
+        return np.ones(m, dtype=bool)
     draws = np.random.default_rng(params.seed).random(m)
     return draws < params.p
 
@@ -80,17 +83,18 @@ def weighted_sparsify(g: Graph, params: SparsifyParams) -> Graph:
 def estimate_triangles(g: Graph, params: SparsifyParams) -> Estimate:
     """Sparsify, count exactly on the sample, scale by 1/p^3.
 
-    The sample is g's forward CSR filtered by the survival mask, scanned
+    The sample is the forward rows of g's surviving edges, scanned
     against g's own edge keys and screen: no ``Graph`` and no key copy.
-    ``sparsify_time`` covers the mask and the filter, ``count_time`` the
-    scan; neither includes loading g.
+    ``sparsify_time`` covers the mask, O(m) draws, and collecting the
+    surviving rows, O(pm); ``count_time`` the scan. Neither includes
+    loading g.
     """
     start = perf_counter()
     mask = survival_mask(g.m, params)
-    fptr, fidx = forward_sample(g, mask)
+    first, fdeg, fidx = forward_sample(g, mask)
     sparsify_time = perf_counter() - start
     start = perf_counter()
-    t_prime = count_triangles(g, fptr, fidx, mask)
+    t_prime = count_triangles(g, first, fdeg, fidx, mask)
     count_time = perf_counter() - start
     return Estimate(
         params=params,

@@ -141,6 +141,16 @@ def filtered_forward_sample(g: Graph, mask: np.ndarray) -> tuple[np.ndarray, np.
     return kept[g.fptr], g.fidx[keep]
 
 
+def filtered_forward_rows(g: Graph, mask: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``filtered_forward_sample`` in the form ``exact.forward_sample``
+    returns: the start into fidx and the length of every row that keeps
+    at least two entries, in forward order, and fidx."""
+    fptr, fidx = filtered_forward_sample(g, mask)
+    fdeg = np.diff(fptr)
+    rows = fdeg >= 2
+    return fptr[:-1][rows], fdeg[rows], fidx
+
+
 def forward_csr(g: Graph) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Reference for the forward CSR that ``Graph.build`` stores: vertices
     ranked by an argsort of their degrees (ties by id), each canonical

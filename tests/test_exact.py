@@ -159,6 +159,29 @@ class TestTransitivity:
             assert 0.0 <= transitivity(g) <= 1.0
 
 
+def _triples_by_vertex(degrees) -> int:
+    return sum(d * (d - 1) // 2 for d in degrees.tolist())
+
+
+class TestConnectedTriples:
+    @pytest.mark.parametrize("g", [
+        Graph.build(0, [], []), Graph.build(5, [], []), book(300), star(40),
+        gnp(200, 0.1, 3), with_isolated(complete(9), 4, 30),
+    ], ids=["null", "empty", "book", "star", "gnp", "complete-isolated"])
+    def test_matches_the_sum_over_vertices(self, g):
+        got = connected_triples(g)
+        assert type(got) is int and got == _triples_by_vertex(g.degrees)
+
+    def test_exact_past_int64(self):
+        # 2^20 + 1 vertices of degree 2^22 and a few others: that class's
+        # count * C(d, 2), and so the total, exceed 2^63 - 1
+        degrees = np.concatenate([np.full(2**20 + 1, 2**22), [0, 1, 2, 3, 2**22 - 1]])
+        g = replace(book(2), degrees=degrees)
+        want = _triples_by_vertex(degrees)
+        assert want > np.iinfo(np.int64).max
+        assert connected_triples(g) == want
+
+
 class TestStructuralProperties:
     @given(n=st.integers(3, 25), q=st.floats(0.05, 0.95), seed=st.integers(0, 10**6))
     @settings(max_examples=50, deadline=None)
@@ -290,8 +313,8 @@ class TestScreenedKernel:
         for threads in (1, 2):
             sizes.clear()
             np.testing.assert_equal(
-                exact._scan(g, g.fptr, g.fidx, fpos=g.fpos if collect else None,
-                            threads=threads), want)
+                exact._scan(g, *exact._forward_rows(g), g.fidx,
+                            fpos=g.fpos if collect else None, threads=threads), want)
             # every wedge probed once, as perfbench counts them, and no step
             # over the per-worker budget, not even one row's wedges, as for
             # complete(12)'s top rows at chunk 7
@@ -303,7 +326,8 @@ class TestScreenedKernel:
         # takes eight steps, seven of 7 wedges and one of 6
         g = complete(12)
         monkeypatch.setattr(exact, "WEDGE_CHUNK", 7)
-        steps = [(f, ii.size, verts.size) for f, ii, _, verts in exact._steps(g.fptr, 7)]
+        steps = [(f, ii.size, starts.size)
+                 for f, ii, _, starts in exact._steps(*exact._forward_rows(g), 7)]
         assert steps.count((11, 7, 1)) == 7 and steps.count((11, 6, 1)) == 1
         np.testing.assert_equal(triangle_edge_positions(g), searchsorted_node_scan(g))
 

@@ -1,5 +1,6 @@
 import dataclasses
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -367,6 +368,53 @@ def _assert_forward_layout(g):
     src = np.repeat(np.arange(g.n), np.diff(g.fptr))
     assert np.array_equal(np.minimum(src, g.fidx), g.edge_u[g.fpos])
     assert np.array_equal(np.maximum(src, g.fidx), g.edge_v[g.fpos])
+
+
+_ARRAYS = ("edge_u", "edge_v", "fptr", "fidx", "fpos", "degrees", "edge_keys", "screen")
+
+
+@st.composite
+def _raw_edges(draw):
+    """Graph.build input with duplicate and reversed edges and self-loops,
+    on n up to 3000 so that keys run past int32; n = 0 and m = 0 included."""
+    n = draw(st.integers(0, 3000))
+    ends = st.integers(0, n - 1) | st.integers(max(0, n - 3), n - 1)
+    pairs = draw(st.lists(st.tuples(ends, ends), max_size=120)) if n else []
+    pairs += draw(st.lists(st.sampled_from(pairs), max_size=40)) if pairs else []
+    pairs = [(v, u) if flip else (u, v) for (u, v), flip in
+             zip(pairs, draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs))))]
+    return n, [u for u, _ in pairs], [v for _, v in pairs]
+
+
+class TestBuildDedupe:
+    @given(raw=_raw_edges())
+    @settings(max_examples=150, deadline=None)
+    def test_matches_first_occurrence(self, raw):
+        # unweighted input dedupes by a sort; weighted input keeps the
+        # stable first-occurrence path, and both give the same topology
+        n, us, vs = raw
+        g = Graph.build(n, us, vs)
+        lo, hi = np.minimum(us, vs).astype(np.int64), np.maximum(us, vs).astype(np.int64)
+        lo, hi = lo[lo != hi], hi[lo != hi]
+        uniq, first = np.unique(lo * n + hi, return_index=True)
+        for got, want in ((g.edge_u, lo[first]), (g.edge_v, hi[first]), (g.edge_keys, uniq)):
+            assert got.dtype == np.int64 and not got.flags.writeable
+            np.testing.assert_array_equal(got, want)
+        weighted = Graph.build(n, us, vs, weights=np.arange(1, len(us) + 1, dtype=float))
+        for name in _ARRAYS:
+            np.testing.assert_array_equal(getattr(g, name), getattr(weighted, name))
+            assert getattr(g, name).dtype == getattr(weighted, name).dtype
+
+    def test_weighted_keeps_the_first_weight(self):
+        g = Graph.build(3, [2, 0, 1, 0, 1], [1, 1, 2, 1, 0], weights=[5.0, 4.0, 3.0, 2.0, 1.0])
+        assert edge_weight(g, 0, 1) == 4.0 and edge_weight(g, 1, 2) == 5.0
+
+    @pytest.mark.parametrize("n,us,vs", [(0, [], []), (1, [0], [0]), (4, [], [])])
+    def test_no_edges_no_warning(self, n, us, vs):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            g = Graph.build(n, us, vs)
+        assert g.m == 0 and g.edge_u.dtype == g.edge_v.dtype == np.int64
 
 
 class TestForwardLayout:

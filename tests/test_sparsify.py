@@ -1,4 +1,5 @@
 import importlib
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -8,7 +9,7 @@ from hypothesis import strategies as st
 from oracles import (
     edge_weight,
     exhaustive_sparsify_expectation,
-    filtered_forward_sample,
+    filtered_forward_rows,
     star,
     weighted_total_by_enumeration,
     with_isolated,
@@ -96,6 +97,19 @@ class TestSparsify:
         mask = survival_mask(500, params)
         draws = np.random.default_rng(123).random(500)
         assert np.array_equal(mask, draws < 0.37)
+
+    @pytest.mark.parametrize("m", [0, 1, 500, 70_000])
+    def test_p_one_keeps_every_edge_without_drawing(self, m, monkeypatch):
+        # every draw is below 1, so skipping the draws changes no mask
+        want = [np.random.default_rng(seed).random(m) < 1.0 for seed in (0, 1, 17, 2**40)]
+
+        def no_draws(*args, **kwargs):
+            raise AssertionError("survival_mask drew at p = 1")
+        monkeypatch.setattr(np.random, "default_rng", no_draws)
+        for seed, mask in zip((0, 1, 17, 2**40), want):
+            got = survival_mask(m, SparsifyParams(p=1.0, seed=seed))
+            assert got.dtype == bool
+            np.testing.assert_array_equal(got, mask)
 
     def test_rejects_weighted(self):
         with pytest.raises(ValueError):
@@ -255,36 +269,97 @@ class TestMaskedTrial:
             estimate_triangles(weighted_book(3, 2.0), SparsifyParams(p=0.5))
 
 
+class _Poisoned:
+    """Stands in for an array that must not be read: numpy conversion,
+    indexing and attribute access all fail."""
+
+    def __array__(self, *args, **kwargs):
+        raise AssertionError("a trial read the parent's fptr")
+
+    def __getitem__(self, key):
+        raise AssertionError("a trial read the parent's fptr")
+
+    def __getattr__(self, name):
+        raise AssertionError("a trial read the parent's fptr")
+
+
+def _trial_fields(trials):
+    return [(e.params, e.surviving_edges, e.t_prime, e.estimate) for e in trials]
+
+
 class TestForwardSample:
     @pytest.mark.parametrize("name", SHAPES)
     def test_every_edge_surviving_passes_the_parents_csr(self, name):
         g = SHAPES[name]
         mask = np.ones(g.m, dtype=bool)
-        fptr, fidx = exact.forward_sample(g, mask)
-        assert fptr is g.fptr and fidx is g.fidx
-        for got, want in zip((fptr, fidx), filtered_forward_sample(g, mask)):
+        first, fdeg, fidx = exact.forward_sample(g, mask)
+        assert fidx is g.fidx
+        for got, want in zip((first, fdeg, fidx), filtered_forward_rows(g, mask)):
+            assert got.dtype == np.int64
             np.testing.assert_array_equal(got, want)
 
     @given(g=_graphs(), p=st.floats(0.0, 1.0), seed=st.integers(0, 10**6))
     @settings(max_examples=60, deadline=None)
     def test_matches_the_filter(self, g, p, seed):
         mask = np.random.default_rng(seed).random(g.m) < p
-        for got, want in zip(exact.forward_sample(g, mask), filtered_forward_sample(g, mask)):
+        for got, want in zip(exact.forward_sample(g, mask), filtered_forward_rows(g, mask)):
+            assert got.dtype == np.int64
             np.testing.assert_array_equal(got, want)
+
+    @pytest.mark.parametrize("name", SHAPES)
+    def test_rows_of_one_entry_and_none(self, name):
+        # a lone surviving entry makes no row; the first and last rows
+        # of the sample are found as well as those between
+        g = SHAPES[name]
+        for mask in (np.zeros(g.m, dtype=bool), np.arange(g.m) % 2 == 0,
+                     np.arange(g.m) % 3 != 1, np.arange(g.m) != 0):
+            for got, want in zip(exact.forward_sample(g, mask), filtered_forward_rows(g, mask)):
+                np.testing.assert_array_equal(got, want)
+
+    @pytest.mark.parametrize("chunk", [1, 2, 3, 7, 64])
+    @pytest.mark.parametrize("name", ["star", "book", "complete", "book-isolated", "gnp"])
+    def test_rows_across_chunks(self, name, chunk, monkeypatch):
+        # a row whose surviving entries straddle two or more chunks, or
+        # begins a chunk, is still one row
+        monkeypatch.setattr(exact, "SAMPLE_CHUNK", chunk)
+        g = SHAPES[name]
+        for seed, p in enumerate((0.2, 0.6, 0.9)):
+            mask = np.random.default_rng(seed).random(g.m) < p
+            for got, want in zip(exact.forward_sample(g, mask), filtered_forward_rows(g, mask)):
+                np.testing.assert_array_equal(got, want)
 
     @pytest.mark.parametrize("name", ["book", "gnp", "gnp-spread"])
     def test_trials_at_p_one_match_under_1_and_2_threads(self, name, monkeypatch):
         g = SHAPES[name]
-
-        def fields(trials):
-            return [(e.params, e.surviving_edges, e.t_prime, e.estimate) for e in trials]
-        want = fields(run_trials(g, 1.0, 5, 0, 4, threads=1))
-        assert fields(run_trials(g, 1.0, 5, 0, 4, threads=2)) == want
+        want = _trial_fields(run_trials(g, 1.0, 5, 0, 4, threads=1))
+        assert _trial_fields(run_trials(g, 1.0, 5, 0, 4, threads=2)) == want
         assert all(t_prime == count_triangles(g) for _, _, t_prime, _ in want)
-        # the same trials through the filtered copy of the forward CSR
-        monkeypatch.setattr(sparsify_module, "forward_sample", filtered_forward_sample)
+        # the same trials through the rows of the filtered forward CSR
+        monkeypatch.setattr(sparsify_module, "forward_sample", filtered_forward_rows)
         for threads in (1, 2):
-            assert fields(run_trials(g, 1.0, 5, 0, 4, threads=threads)) == want
+            assert _trial_fields(run_trials(g, 1.0, 5, 0, 4, threads=threads)) == want
+
+    @pytest.mark.parametrize("p", [0.05, 0.3, 0.7])
+    @pytest.mark.parametrize("name", ["book", "gnp", "gnp-spread", "book-isolated"])
+    def test_trials_match_under_1_and_2_threads(self, name, p, monkeypatch):
+        g = SHAPES[name]
+        want = _trial_fields(run_trials(g, p, 7, 1, 6, threads=1))
+        assert _trial_fields(run_trials(g, p, 7, 1, 6, threads=2)) == want
+        monkeypatch.setattr(sparsify_module, "forward_sample", filtered_forward_rows)
+        assert _trial_fields(run_trials(g, p, 7, 1, 6, threads=1)) == want
+
+    def test_trials_below_p_one_never_read_fptr(self):
+        # a book with 10^5 isolated vertices around it: the sample is
+        # built from the surviving entries, never from the parent's rows
+        g = with_isolated(book(300), 40_000, 60_000)
+        poisoned = replace(g, fptr=_Poisoned())
+        for p in (0.01, 0.2, 0.6, 0.95):
+            want = _trial_fields(run_trials(g, p, 3, 0, 4))
+            assert any(t_prime for _, _, t_prime, _ in want) or p < 0.5
+            for threads in (1, 2):
+                assert _trial_fields(run_trials(poisoned, p, 3, 0, 4, threads=threads)) == want
+        with pytest.raises(AssertionError, match="fptr"):
+            estimate_triangles(poisoned, SparsifyParams(p=1.0))
 
 
 class TestExhaustiveUnbiasedness:
