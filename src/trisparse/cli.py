@@ -17,7 +17,7 @@ from . import bench
 from . import exact
 from . import generators
 from .graph import Graph, load_edge_list, stats, write_edge_list
-from .sparsify import SparsifyParams, count_weighted_triangles, sparsify
+from .sparsify import SparsifyParams, count_weighted_triangles, survival_mask
 
 
 def _graph_info(graph_id: str, g: Graph, load_time: float | None = None) -> dict:
@@ -151,7 +151,8 @@ def cmd_estimate(args) -> int:
                        seed=est.params.seed)
                for est in trials]
     if args.save_sparsified:
-        write_edge_list(args.save_sparsified, sparsify(g, trials[0].params))
+        # the first trial's surviving edges, written without building their Graph
+        write_edge_list(args.save_sparsified, g, survival_mask(g.m, trials[0].params))
 
     estimates = [est.estimate for est in trials]
     mean_est = sum(estimates) / len(estimates)

@@ -7,6 +7,7 @@ import itertools
 from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from functools import lru_cache
 from math import comb
 
 import numpy as np
@@ -23,6 +24,8 @@ DEFAULT_BRUTE_LIMIT = 1000
 WEDGE_CHUNK = 1 << 18
 # Forward entries whose survivors a trial's sample collects at once.
 SAMPLE_CHUNK = 1 << 16
+# Largest row whose wedges' entry pairs are computed once and kept.
+_CACHED_PAIRS = 64
 
 
 @dataclass(frozen=True)
@@ -111,6 +114,17 @@ def check_threads(threads: int) -> None:
         raise ValueError(f"thread count must be at least 1, got {threads}")
 
 
+@lru_cache(maxsize=None)
+def _pairs(f: int) -> tuple[np.ndarray, np.ndarray]:
+    """``np.triu_indices(f, 1)``, read-only: the entries (ii[k], jj[k]) of
+    wedge k of a row of f. Kept for rows of at most ``_CACHED_PAIRS``
+    entries, whose wedges cost less to probe than these to work out."""
+    ii, jj = np.triu_indices(f, 1)
+    ii.setflags(write=False)
+    jj.setflags(write=False)
+    return ii, jj
+
+
 def _steps(first, fdeg, budget: int):
     """The node scan's steps, in scan order, over the forward rows that
     start ``first`` into fidx and hold ``fdeg`` >= 2 entries, in forward
@@ -120,9 +134,16 @@ def _steps(first, fdeg, budget: int):
     of one row's pairs where that row alone has more. A row's runs are
     consecutive, so the scan's hits come in the same order whatever the
     budget."""
-    for f in np.flatnonzero(np.bincount(fdeg)).tolist():
-        ii, jj = np.triu_indices(f, 1)
-        cls = first[fdeg == f]
+    count = np.bincount(fdeg)
+    ends = np.cumsum(count).tolist()
+    classes = np.flatnonzero(count).tolist()
+    # the rows' starts by class, each class in row order; the narrowest
+    # dtype sorts fastest
+    by_class = first if len(classes) < 2 else first[
+        np.argsort(fdeg.astype(np.min_scalar_type(count.size)), kind="stable")]
+    for f in classes:
+        ii, jj = _pairs(f) if f <= _CACHED_PAIRS else np.triu_indices(f, 1)
+        cls = by_class[ends[f - 1]:ends[f]]
         if ii.size <= budget:
             rows = budget // ii.size
             for start in range(0, cls.size, rows):
@@ -131,6 +152,22 @@ def _steps(first, fdeg, budget: int):
             for row in range(cls.size):
                 for lo in range(0, ii.size, budget):
                     yield f, ii[lo:lo + budget], jj[lo:lo + budget], cls[row:row + 1]
+
+
+def _packs(steps, budget: int):
+    """Runs of consecutive ``_steps`` whose wedges together are at most
+    ``budget``, so that a graph of many small degree classes, a sparse
+    sample's above all, makes one lookup per run and not one per class."""
+    pack, size = [], 0
+    for step in steps:
+        wedges = step[1].size * step[3].size
+        if pack and size + wedges > budget:
+            yield pack
+            pack, size = [], 0
+        pack.append(step)
+        size += wedges
+    if pack:
+        yield pack
 
 
 def _in_order(fn, steps, threads: int):
@@ -152,58 +189,92 @@ def _in_order(fn, steps, threads: int):
             yield ahead.popleft().result()
 
 
-def _scan(g: Graph, first: np.ndarray, fdeg: np.ndarray, fidx: np.ndarray,
-          alive: np.ndarray | None = None, fpos: np.ndarray | None = None,
-          threads: int = 1):
+def _scan_steps(g: Graph, first: np.ndarray, fdeg: np.ndarray, fidx: np.ndarray,
+                alive: np.ndarray | None = None, fpos: np.ndarray | None = None,
+                threads: int = 1, ordered: bool = True):
     """Node-iterator core (forward / compact-forward, Schank & Wagner):
     for every vertex, test adjacency between pairs of its forward
     neighbors, given as the rows ``first, fdeg`` into ``fidx`` of g or of
     its sample of the edges where ``alive`` holds (``forward_sample``).
     Each triangle is found exactly once, at its lowest-ranked vertex. A
-    probe is a ``lookup`` in g's keys through g's screen, and a hit
-    counts only if that edge is alive.
-    With ``threads`` > 1 the steps run on a pool of that many workers
-    and are collected in step order, so the result does not depend on
-    the thread count; the wedges in flight stay within ``WEDGE_CHUNK``.
+    probe is a ``lookup`` in g's ``index``, which also gives the probed
+    edge's canonical position, and a hit counts only if that edge is
+    alive. The ``_steps`` are probed in ``_packs``, one lookup each. With
+    ``threads`` > 1 the packs run on a pool of that many workers and are
+    collected in scan order, so the result does not depend on the thread
+    count; the wedges in flight stay within ``WEDGE_CHUNK``.
 
-    Returns (t, positions). Given ``fpos``, each forward entry's
-    canonical position, positions holds per triangle the ``fpos`` of its
-    two forward entries and its probed key's position; else it is None.
+    Yields (count, positions) per pack, in scan order. Given ``fpos``,
+    each forward entry's canonical position, positions holds per
+    triangle the ``fpos`` of its two forward entries and its probed
+    edge's position, or is None where the pack found no triangle; else
+    it is always None. The triangles come in scan order, a row's
+    together, unless ``ordered`` is False: then each step's come pair by
+    pair, which saves transposing its probes.
     """
     check_threads(threads)
-    n, keys, table = g.n, g.edge_keys, g.screen
+    n, index = g.n, g.index
+    # counts need no order
+    ordered = ordered and fpos is not None
 
-    def probe_step(step):
-        f, ii, jj, starts = step
-        # block[c] holds entry c of each of the step's rows and probe[k]
-        # their wedges of pair k, so every numpy loop runs over all those
-        # rows however small f is. Rows ascend by id, so a < b in each pair.
-        block = fidx[np.arange(f)[:, None] + starts]
-        probe = block[ii]
-        probe *= n
-        probe += block[jj]
+    def probe_pack(pack):
+        # the wedges of each step of the pack follow the last step's
+        sizes = [ii.size * starts.size for _, ii, _, starts in pack]
+        probe = np.empty(sum(sizes), dtype=np.int64)
+        at = 0
+        for (f, ii, jj, starts), size in zip(pack, sizes):
+            # block[c] holds entry c of each of the step's rows and probe[k]
+            # their wedges of pair k, so every numpy loop runs over all those
+            # rows however small f is. Rows ascend by id, so a < b in each pair.
+            block = fidx[np.arange(f)[:, None] + starts]
+            out = probe[at:at + size]
+            # in scan order: a row's wedges together, pair by pair
+            out = out.reshape(starts.size, ii.size).T if ordered else out.reshape(ii.size, -1)
+            np.multiply(block[ii], n, out=out)
+            out += block[jj]
+            at += size
         # freed before the lookup allocates: held, it lifted a p = 0.93
         # trial on book(300000) past glibc's trim threshold, and each such
         # trial faulted some 12 MiB back in (about 3,100 page faults)
         del block
-        # in scan order: a row's wedges together, pair by pair
-        probe = probe.T.reshape(-1)
-        idx, loc, hit = lookup(probe, keys, table)
+        idx, loc = lookup(probe, index)
+        if fpos is None:
+            return idx.size if alive is None else int(np.count_nonzero(alive[loc])), None
         if alive is not None:
-            hit &= alive[loc]
-        if fpos is None or not hit.any():
-            return int(np.count_nonzero(hit)), None
-        # the wedge's forward entries sit ii and jj places into its row
-        row, pair = np.divmod(idx[hit], ii.size)
-        at = starts[row]
-        return row.size, (fpos[at + ii[pair]], fpos[at + jj[pair]], loc[hit])
+            keep = alive[loc]
+            idx, loc = idx[keep], loc[keep]
+        if not idx.size:
+            return 0, None
+        firsts, seconds = [], []
+        at = lo = 0
+        for (f, ii, jj, starts), size, hi in zip(pack, sizes, np.searchsorted(
+                idx, np.cumsum(sizes)).tolist()):
+            wedge = idx[lo:hi] - at
+            if ordered:
+                row, pair = np.divmod(wedge, ii.size)
+            else:
+                pair, row = np.divmod(wedge, starts.size)
+            # the wedge's forward entries sit ii and jj places into its row
+            start = starts[row]
+            firsts.append(fpos[start + ii[pair]])
+            seconds.append(fpos[start + jj[pair]])
+            at, lo = at + size, hi
+        return idx.size, (np.concatenate(firsts), np.concatenate(seconds), loc)
 
+    budget = max(1, WEDGE_CHUNK // threads)
+    return _in_order(probe_pack, _packs(_steps(first, fdeg, budget), budget), threads)
+
+
+def _scan(g: Graph, first: np.ndarray, fdeg: np.ndarray, fidx: np.ndarray,
+          alive: np.ndarray | None = None, fpos: np.ndarray | None = None,
+          threads: int = 1):
+    """The ``_scan_steps`` totals: (t, positions), where positions
+    concatenates every pack's three arrays given ``fpos``, else is None."""
     t = 0
     # a leading empty array keeps each concatenation int64 when t = 0
     empty = np.empty(0, dtype=np.int64)
     positions = ([empty], [empty], [empty])
-    steps = _steps(first, fdeg, max(1, WEDGE_CHUNK // threads))
-    for count, pieces in _in_order(probe_step, steps, threads):
+    for count, pieces in _scan_steps(g, first, fdeg, fidx, alive, fpos, threads):
         t += count
         if pieces is not None:
             for out, piece in zip(positions, pieces):
@@ -227,9 +298,10 @@ def triangle_edge_positions(g: Graph, threads: int = 1
                             ) -> tuple[int, tuple[np.ndarray, np.ndarray, np.ndarray]]:
     """Triangle count plus, per triangle, the positions of its three edges
     in the canonical edge arrays: ``g.fpos`` of its two forward entries
-    and the position of the probed key. Works for weighted and unweighted
-    graphs (weights are ignored; only the topology matters). The scan
-    runs on ``threads`` workers; the arrays do not depend on it."""
+    and the position the lookup gave for the probed key. Works for
+    weighted and unweighted graphs (weights are ignored; only the
+    topology matters). The scan runs on ``threads`` workers; the arrays
+    do not depend on it."""
     return _scan(g, *_forward_rows(g), g.fidx, fpos=g.fpos, threads=threads)
 
 
@@ -242,15 +314,17 @@ def connected_triples(g: Graph) -> int:
 
 
 def _delta_array(g: Graph, threads: int) -> tuple[int, np.ndarray]:
-    t, (a, b, c) = triangle_edge_positions(g, threads)
-    # one bincount per array (concatenating all three would set a count's
-    # peak), each array dropped once counted so the next bincount can
-    # reuse its memory
-    delta = np.bincount(a, minlength=g.m)
-    del a
-    delta += np.bincount(b, minlength=g.m)
-    del b
-    delta += np.bincount(c, minlength=g.m)
+    """t and each canonical edge's triangle count. Each step's three
+    position arrays are added in as they arrive, in whatever order, so
+    no more than one step's are held at once."""
+    t = 0
+    delta = np.zeros(g.m, dtype=np.int64)
+    steps = _scan_steps(g, *_forward_rows(g), g.fidx, fpos=g.fpos, threads=threads,
+                        ordered=False)
+    for count, pieces in steps:
+        t += count
+        for piece in pieces or ():
+            np.add.at(delta, piece, 1)
     return t, delta
 
 
@@ -269,13 +343,16 @@ def count_node_iterator(g: Graph, *, edge_deltas: bool = False,
     """Exact count by examining, per vertex, the edges among its neighbors.
 
     Degree-then-id ordering restricts the examined pairs to higher-ranked
-    neighbors so each triangle is counted once. Pair adjacency goes through
-    the graph's screen over its edge keys, which rejects most non-edges at
-    once; only pairs it passes are resolved by binary search on the sorted
-    canonical edge keys. The steps run on ``threads`` workers, each step
-    holding at most ``WEDGE_CHUNK // threads`` pairs (at least one), so
-    the pairs in flight stay within ``WEDGE_CHUNK``; the result does not
-    depend on the thread count.
+    neighbors so each triangle is counted once. Pair adjacency is a
+    ``lookup`` in the graph's membership index: one bit of its bit table
+    and, for an edge, the rank directory for the edge's position; or,
+    above the table's memory budget, its slot screen, which rejects most
+    non-edges at once, and a binary search of the sorted edge keys for
+    the pairs it passes. Each step's triangles are added to the per-edge
+    counts as the step arrives. The steps run on ``threads`` workers,
+    each step holding at most ``WEDGE_CHUNK // threads`` pairs (at least
+    one), so the pairs in flight stay within ``WEDGE_CHUNK``; the result
+    does not depend on the thread count.
     """
     _require_unweighted(g, "count_node_iterator")
     t, delta = _delta_array(g, threads)
@@ -320,8 +397,8 @@ def count_edge_iterator(g: Graph, *, edge_deltas: bool = False) -> TriangleStats
     is counted by one AND and popcount of their rows, in steps whose
     gathered blocks hold at most ``WEDGE_CHUNK`` words. Every other edge
     probes each neighbor w of its lower-degree endpoint against its other
-    endpoint, through the screen-then-confirm lookup the node iterator
-    uses, here over the sorted keys of both directions of every edge: sum
+    endpoint, through a ``slot_table`` screen and binary search, here
+    over the sorted keys of both directions of every edge: sum
     min(deg u, deg v) probes over those edges, at most ``WEDGE_CHUNK`` per
     step, or one edge's where that edge alone has more.
     """
@@ -354,7 +431,7 @@ def count_edge_iterator(g: Graph, *, edge_deltas: bool = False) -> TriangleStats
         keys.sort()
         ptr = np.zeros(n + 1, dtype=np.int64)
         np.cumsum(deg, out=ptr[1:])
-        table = slot_table(keys, n)
+        screen = slot_table(keys, n)
         a = 0
         while ends[a] < ends[m]:
             # through the next edge with probes, and on while the step
@@ -373,8 +450,8 @@ def count_edge_iterator(g: Graph, *, edge_deltas: bool = False) -> TriangleStats
             # the key of (hi, w) is the key of (lo, w) plus (hi - lo) * n; an
             # edge's probes ascend within row hi, so its searches share cache lines
             probe += np.repeat((u + v - 2 * lo) * np.int64(n), count)
-            idx, _, hit = lookup(probe, keys, table)
-            edge = np.searchsorted(first, idx[hit], side="right") - 1
+            idx, _ = lookup(probe, screen)
+            edge = np.searchsorted(first, idx, side="right") - 1
             delta[e] = np.bincount(edge, minlength=e.size)
             a = b
     total = int(delta.sum())

@@ -14,8 +14,15 @@ import numpy as np
 _MAX_VERTICES = 3_037_000_499
 # original vertex ids are kept as int64 labels
 _MIN_ID, _MAX_ID = -2**63, 2**63 - 1
-# Slots per edge in the membership screen (rounded up to a power of two).
+# Slots per edge in the membership screen (rounded up to a power of two):
+# one byte each, so 8-16 bytes per edge.
 _SLOTS_PER_EDGE = 8
+# Most bytes per edge that the exact bit table and its rank directory may
+# take, 3n^2/16 bytes in all (one bit per key u*n+v, one int32 per 64 of
+# them); a graph past it keeps the screen. gnp(10000,0.02) needs 18.75.
+_TABLE_BYTES_PER_EDGE = 32
+# Keys the bit table's build sets at once.
+_TABLE_BUILD_CHUNK = 1 << 18
 
 
 class EdgeListFormatError(ValueError):
@@ -45,9 +52,11 @@ class Graph:
     Each edge is also stored once in the forward CSR ``fptr, fidx``,
     oriented from its lower to its higher endpoint in degree-then-id
     order, with strictly ascending rows; ``fpos`` gives the canonical
-    edge index of each forward entry. Every membership probe, on g or a
-    sample of its edges, is a ``lookup`` in the sorted keys u*n+v of the
-    canonical edges, ``edge_keys``, through their ``screen``. All arrays
+    edge index of each forward entry. ``edge_keys`` are the sorted keys
+    u*n+v of the canonical edges, and every membership probe, on g or a
+    sample of its edges, is a ``lookup`` in their ``index``: a
+    ``BitTable`` where its n^2 bits fit ``_TABLE_BYTES_PER_EDGE``, else
+    a ``SlotScreen``. Both give a key's canonical position. All arrays
     are read-only, so instances are safe to share across threads.
     ``labels`` maps compact vertex ids back to the ids found in the input
     file; it is None for generated graphs.
@@ -61,7 +70,7 @@ class Graph:
     fpos: np.ndarray
     degrees: np.ndarray
     edge_keys: np.ndarray
-    screen: np.ndarray
+    index: SlotScreen | BitTable
     weights: np.ndarray | None = None
     labels: np.ndarray | None = None
 
@@ -75,13 +84,14 @@ class Graph:
 
     def edge_positions(self, us, vs) -> np.ndarray:
         """Positions of the (us[i], vs[i]) edges in the canonical edge
-        arrays, or -1 where the edge is absent. Vectorized."""
+        arrays, or -1 where the edge is absent. Vertex ids must lie in
+        [0, n). Vectorized."""
         us = np.asarray(us, dtype=np.int64)
         vs = np.asarray(vs, dtype=np.int64)
         keys = np.minimum(us, vs) * np.int64(self.n) + np.maximum(us, vs)
-        idx, loc, hit = lookup(keys.ravel(), self.edge_keys, self.screen)
+        idx, loc = lookup(keys.ravel(), self.index)
         pos = np.full(keys.shape, -1, dtype=np.int64)
-        np.put(pos, idx[hit], loc[hit])
+        np.put(pos, idx, loc)
         return pos
 
     def has_edges(self, us, vs) -> np.ndarray:
@@ -154,37 +164,126 @@ class Graph:
             if lab.size != n:
                 raise ValueError("labels array must have one entry per vertex")
 
-        screen = slot_table(uniq, n)
-        for arr in (edge_u_f, edge_v_f, fptr, fidx, fpos, degrees, uniq, screen, w, lab):
+        for arr in (edge_u_f, edge_v_f, fptr, fidx, fpos, degrees, uniq, w, lab):
             if arr is not None:
                 arr.setflags(write=False)
         return Graph(n=n, edge_u=edge_u_f, edge_v=edge_v_f, fptr=fptr, fidx=fidx,
-                     fpos=fpos, degrees=degrees, edge_keys=uniq, screen=screen,
+                     fpos=fpos, degrees=degrees, edge_keys=uniq, index=edge_index(uniq, n),
                      weights=w, labels=lab)
 
 
-def slot_table(keys: np.ndarray, n: int) -> np.ndarray:
-    """Membership screen over the edge keys: a bool table of 2^k slots,
-    2^k >= min(n^2, 8m), with the slot of every key set. A probe whose
-    slot is clear is no edge; one whose slot is set may be. With
-    2^k >= n^2 no two keys share a slot and the screen is exact."""
+@dataclass(frozen=True, eq=False)
+class SlotScreen:
+    """Screen-then-confirm membership among the sorted distinct ``keys``:
+    a bool table of 2^k ``slots`` with the slot k & (2^k - 1) of every
+    key k set. A probe whose slot is clear is no key; one whose slot is
+    set is confirmed by a binary search of ``keys``, so the answer is
+    exact whatever the screen passes. Costs the 8 bytes of each key plus
+    one byte per slot."""
+
+    keys: np.ndarray
+    slots: np.ndarray
+
+    def find(self, probe: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        idx = np.flatnonzero(self.slots[probe & (self.slots.size - 1)])
+        cand = probe[idx]
+        # searched in ascending order, several times faster than in probe
+        # order: numpy's binary search mispredicts fewer branches and misses
+        # the cache less. Candidates that ascend already, as a book's do,
+        # are not sorted; every 64th of them is enough to tell, and either
+        # way gives the same positions.
+        every = cand[::64]
+        if (every[1:] >= every[:-1]).all():
+            loc = np.searchsorted(self.keys, cand)
+        else:
+            order = np.argsort(cand)
+            loc = np.empty_like(idx)
+            loc[order] = np.searchsorted(self.keys, cand[order])
+        np.minimum(loc, self.keys.size - 1, out=loc)
+        hit = self.keys[loc] == cand
+        if hit.all():
+            return idx, loc
+        return idx[hit], loc[hit]
+
+
+@dataclass(frozen=True, eq=False)
+class BitTable:
+    """Exact membership of keys in [0, n^2), with no search: bit k & 63
+    of little-endian word k >> 6 of ``words`` is set iff k is a key, and
+    ``rank[w]``, Jacobson's rank directory, counts the keys in the words
+    before w. A probe is one byte gather and shift, and a key's position
+    among the sorted keys is its word's rank plus the keys below it in
+    the word. Costs n^2/8 bytes of bits plus n^2/16 of rank, whatever
+    the number of keys."""
+
+    words: np.ndarray
+    rank: np.ndarray
+
+    def find(self, probe: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        # bit k & 7 of byte k >> 3 is bit k & 63 of word k >> 6
+        byte = self.words.view(np.uint8).take(probe >> 3)
+        shift = probe.astype(np.uint8)
+        shift &= 7
+        byte >>= shift
+        byte &= 1
+        idx = np.flatnonzero(byte.view(bool))
+        key = probe[idx]
+        at = key >> 6
+        below = self.words[at]
+        below &= np.left_shift(np.uint64(1), (key & 63).astype(np.uint64)) - np.uint64(1)
+        loc = self.rank[at].astype(np.int64)
+        loc += np.bitwise_count(below)
+        return idx, loc
+
+
+def slot_table(keys: np.ndarray, n: int) -> SlotScreen:
+    """The screen over the sorted distinct ``keys`` in [0, n^2), of 2^k
+    >= min(n^2, 8m) slots. With 2^k >= n^2 no two keys share a slot and
+    the screen alone is exact."""
     size = 1 << (min(n * n, _SLOTS_PER_EDGE * keys.size) - 1).bit_length()
-    table = np.zeros(size, dtype=bool)
-    table[keys & (size - 1)] = True
-    return table
+    slots = np.zeros(size, dtype=bool)
+    slots[keys & (size - 1)] = True
+    slots.setflags(write=False)
+    return SlotScreen(keys, slots)
 
 
-def lookup(probe: np.ndarray, keys: np.ndarray, table: np.ndarray):
-    """Screen-then-confirm membership of the ``probe`` keys among the
-    sorted ``keys``, given their ``slot_table``. Returns idx, the probes
-    whose slot is set; loc, their insertion points in ``keys``; and hit,
-    where ``keys[loc]`` is the probe itself. Only ``idx[hit]`` are edges,
-    so the answer is exact whatever the screen passes."""
-    idx = np.flatnonzero(table[probe & (table.size - 1)])
-    cand = probe[idx]
-    loc = np.searchsorted(keys, cand)
-    np.minimum(loc, keys.size - 1, out=loc)
-    return idx, loc, keys[loc] == cand
+def bit_table(keys: np.ndarray, n: int) -> BitTable:
+    """The bit table and rank directory of the sorted distinct ``keys``
+    in [0, n^2); fewer than 2^31 of them, so a rank fits int32."""
+    words = np.zeros(-(-n * n // 64), dtype="<u8")
+    # distinct keys set distinct bits, so adding them is or-ing them, and
+    # numpy's add.at on bytes is twice as fast as its bitwise_or.at. A
+    # block of keys at a time: all at once, the temporaries set the peak
+    # memory of a count on gnp(10000,0.02), 11 MiB higher.
+    for a in range(0, keys.size, _TABLE_BUILD_CHUNK):
+        block = keys[a:a + _TABLE_BUILD_CHUNK]
+        np.add.at(words.view(np.uint8), block >> 3, np.left_shift(1, block & 7).astype(np.uint8))
+    rank = np.zeros(words.size, dtype=np.int32)
+    np.cumsum(np.bitwise_count(words[:-1]), dtype=np.int32, out=rank[1:])
+    words.setflags(write=False)
+    rank.setflags(write=False)
+    return BitTable(words, rank)
+
+
+def edge_index(keys: np.ndarray, n: int) -> SlotScreen | BitTable:
+    """The membership index of the sorted distinct edge ``keys`` of a
+    graph on n vertices, chosen from n and m alone: the ``bit_table``
+    where its 3n^2/16 bytes are at most ``_TABLE_BYTES_PER_EDGE`` per
+    edge, else the ``slot_table``."""
+    words = -(-n * n // 64)
+    # counted as one edge, an edgeless graph of up to 11 vertices takes
+    # the table too
+    if 12 * words <= _TABLE_BYTES_PER_EDGE * max(keys.size, 1) and keys.size < 2**31:
+        return bit_table(keys, n)
+    return slot_table(keys, n)
+
+
+def lookup(probe: np.ndarray, index: SlotScreen | BitTable) -> tuple[np.ndarray, np.ndarray]:
+    """Membership of the ``probe`` keys in an edge ``index``. Returns idx,
+    where the probes that are keys sit in ``probe``, ascending, and loc,
+    their positions among the sorted keys, which are the canonical edge
+    positions for a graph's index. Both index kinds give the same answer."""
+    return index.find(probe)
 
 
 def load_edge_list(path, weighted: bool = False) -> Graph:
@@ -389,18 +488,22 @@ def _parse_lines(path: Path, data: bytes, weighted: bool):
             np.array(labels, dtype=np.int64))
 
 
-def write_edge_list(path, g: Graph) -> None:
-    """Write the canonical edge set, using original labels when present.
+def write_edge_list(path, g: Graph, keep: np.ndarray | None = None) -> None:
+    """Write the canonical edge set, or its edges where the bool array
+    ``keep`` holds, using original labels when present.
 
     Isolated vertices are not representable in this format and are lost
     on reload.
     """
-    us, vs = g.edge_u, g.edge_v
+    us, vs, ws = g.edge_u, g.edge_v, g.weights
+    if keep is not None:
+        us, vs = us[keep], vs[keep]
+        ws = None if ws is None else ws[keep]
     if g.labels is not None:
         us, vs = g.labels[us], g.labels[vs]
     columns = [us.tolist(), vs.tolist()]
-    if g.is_weighted:
-        columns.append(g.weights.tolist())
+    if ws is not None:
+        columns.append(ws.tolist())
     with open(path, "w", encoding="utf-8") as fh:
         fh.writelines(" ".join(map(str, row)) + "\n" for row in zip(*columns))
 

@@ -84,7 +84,7 @@ def estimate_triangles(g: Graph, params: SparsifyParams) -> Estimate:
     """Sparsify, count exactly on the sample, scale by 1/p^3.
 
     The sample is the forward rows of g's surviving edges, scanned
-    against g's own edge keys and screen: no ``Graph`` and no key copy.
+    against g's own membership index: no ``Graph`` and no key copy.
     ``sparsify_time`` covers the mask, O(m) draws, and collecting the
     surviving rows, O(pm); ``count_time`` the scan. Neither includes
     loading g.

@@ -3,7 +3,7 @@ import json
 import pytest
 
 from oracles import labelled_edges
-from trisparse import load_edge_list
+from trisparse import Graph, SparsifyParams, load_edge_list, sparsify, write_edge_list
 from trisparse.adaptive import trial_seed
 from trisparse import cli
 from trisparse.cli import main
@@ -158,6 +158,25 @@ class TestEstimate:
         gp = load_edge_list(sparse_path)
         assert labelled_edges(gp) <= labelled_edges(g)
         assert gp.m < g.m
+
+    def test_save_sparsified_bytes(self, tmp_path, monkeypatch):
+        # the first trial's surviving edges, through the file's own ids, in
+        # the bytes of the sparsified Graph written out; only the load
+        # builds a Graph
+        path = tmp_path / "g.txt"
+        path.write_text("".join(f"{3 * u + 7} {-v}\n" for u in range(40)
+                                for v in range(u % 7, 60, 3)))
+        g = load_edge_list(path)
+        want = tmp_path / "want.txt"
+        write_edge_list(want, sparsify(g, SparsifyParams(0.4, trial_seed(9, 0, 0))))
+        builds = []
+        build = Graph.build
+        monkeypatch.setattr(Graph, "build", lambda *a, **k: builds.append(1) or build(*a, **k))
+        got = tmp_path / "got.txt"
+        assert main(["estimate", str(path), "--p", "0.4", "--seed", "9", "--runs", "2",
+                     "--save-sparsified", str(got)]) == 0
+        assert got.read_bytes() == want.read_bytes() and 0 < len(want.read_bytes())
+        assert len(builds) == 1
 
     def test_bad_p(self, tmp_path):
         path = _gen(tmp_path, "complete:4")

@@ -22,6 +22,7 @@ from oracles import (
 )
 from trisparse import (
     Graph,
+    SparsifyParams,
     book,
     complete,
     connected_triples,
@@ -30,6 +31,7 @@ from trisparse import (
     count_node_iterator,
     count_triangles,
     count_weighted_triangles,
+    estimate_triangles,
     exact,
     gnp,
     transitivity,
@@ -37,6 +39,8 @@ from trisparse import (
     triple_census,
     weighted_book,
 )
+from trisparse import graph as graph_module
+from trisparse.graph import BitTable, SlotScreen
 
 # perfbench's own exact.wedges counter, forward_wedges
 BENCH_LAYERS = load_perfbench("layers")
@@ -221,7 +225,8 @@ class TestStructuralProperties:
 
 
 def _slots(g: Graph) -> int:
-    return g.screen.size
+    """Slots of g's screen; a bit table, exact, has one per key u*n+v."""
+    return g.index.slots.size if isinstance(g.index, SlotScreen) else g.n * g.n
 
 
 def _assert_kernel_matches_references(g: Graph, core: Graph | None = None) -> None:
@@ -272,7 +277,11 @@ class TestScreenedKernel:
     @given(n=st.integers(3, 30), q=st.floats(0.3, 1.0), seed=st.integers(0, 10**6))
     @settings(max_examples=60, deadline=None)
     def test_exact_slot_table(self, n, q, seed):
-        g = gnp(n, q, seed)
+        # these graphs fit the bit table, so the screen is forced
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(graph_module, "_TABLE_BYTES_PER_EDGE", 0)
+            g = gnp(n, q, seed)
+        assert isinstance(g.index, SlotScreen)
         assume(_slots(g) >= n * n)
         _assert_kernel_matches_references(g)
 
@@ -506,6 +515,62 @@ class TestThreadedScan:
     def test_thread_count_below_one_rejected(self, threads):
         with pytest.raises(ValueError, match="thread count must be at least 1"):
             triangle_edge_positions(complete(4), threads)
+
+
+def _with_screen(g: Graph) -> Graph:
+    """g rebuilt with the bit table's budget at zero, so on the screen."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(graph_module, "_TABLE_BYTES_PER_EDGE", 0)
+        return Graph.build(g.n, g.edge_u, g.edge_v)
+
+
+def _assert_table_matches_screen(g: Graph) -> None:
+    """Everything the node scan and the baselines' positions give on g's
+    bit table, against the same graph on the screen."""
+    s = _with_screen(g)
+    assert isinstance(g.index, BitTable) and isinstance(s.index, SlotScreen)
+    for threads in (1, 2):
+        np.testing.assert_equal(triangle_edge_positions(g, threads),
+                                triangle_edge_positions(s, threads))
+        assert count_node_iterator(g, edge_deltas=True, threads=threads) == \
+            count_node_iterator(s, edge_deltas=True, threads=threads)
+    assert count_triangles(g) == count_triangles(s)
+    for p in (0.1, 0.5, 1.0):
+        for seed in range(3):
+            params = SparsifyParams(p=p, seed=seed)
+            a, b = estimate_triangles(g, params), estimate_triangles(s, params)
+            assert (a.surviving_edges, a.t_prime) == (b.surviving_edges, b.t_prime)
+    ids = np.arange(g.n)
+    us, vs = np.repeat(ids, g.n), np.tile(ids, g.n)
+    got = g.edge_positions(us, vs)
+    np.testing.assert_array_equal(got, s.edge_positions(us, vs))
+    # every edge at its canonical position both ways round, and -1 for
+    # every other pair
+    assert np.count_nonzero(got >= 0) == 2 * g.m
+    assert np.count_nonzero(got == -1) == g.n ** 2 - 2 * g.m
+
+
+class TestBitTableAgainstScreen:
+    """The bit table and the screen must give the same answers, down to
+    the canonical position of every hit."""
+
+    @given(g=_SHAPES)
+    @settings(max_examples=60, deadline=None)
+    def test_shapes(self, g):
+        assume(g.n and isinstance(g.index, BitTable))
+        _assert_table_matches_screen(g)
+
+    @pytest.mark.parametrize("g", [
+        gnp(300, 0.1, 3), gnp(130, 0.2, 1), complete(20), book(200), star(100),
+        with_isolated(complete(9), 5, 60), Graph.build(1, [], []), Graph.build(9, [7], [8]),
+    ], ids=["gnp", "gnp-partial-word", "complete", "book", "star", "complete-isolated",
+            "one-vertex", "last-word"])
+    def test_graphs(self, g):
+        _assert_table_matches_screen(g)
+
+    def test_wedge_chunk_of_five(self, monkeypatch):
+        monkeypatch.setattr(exact, "WEDGE_CHUNK", 5)
+        _assert_table_matches_screen(gnp(60, 0.3, 5))
 
 
 class TestVectorizedEdgeIterator:

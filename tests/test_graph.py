@@ -7,8 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import (edge_pairs, edge_weight, forward_csr, gnp_by_rows, labelled_edges, star,
-                     with_isolated)
+from oracles import (edge_pairs, edge_weight, forward_csr, gnp_by_rows, labelled_edges,
+                     load_perfbench, star, with_isolated)
 from trisparse import (
     EdgeListFormatError,
     Graph,
@@ -24,7 +24,10 @@ from trisparse import (
 )
 from trisparse import generators
 from trisparse import graph as graph_module
-from trisparse.graph import _MAX_VERTICES
+from trisparse.graph import _MAX_VERTICES, BitTable, SlotScreen
+
+
+BENCH_WORKLOADS = load_perfbench("workloads")
 
 
 def _write(tmp_path, text, name="g.txt"):
@@ -278,6 +281,18 @@ class TestBenchmarkInputsTakeVectorizedPath:
         assert labelled_edges(g) == {(10, 20), (20, 30), (10, 30), (30, 40)}
 
 
+class TestBenchmarkInputsTakeIntendedIndex:
+    """The benchmark's gnp inputs must get the bit table, whose probes
+    need no search, and its book the screen: book(300000)'s table would
+    take 16 GiB."""
+
+    @pytest.mark.parametrize("name,kind", [
+        ("count-gnp1m", BitTable), ("bench-gnp", BitTable), ("search-book", SlotScreen)])
+    def test_workload_graphs(self, name, kind):
+        g = generate(BENCH_WORKLOADS.WORKLOADS[name].spec, seed=5)
+        assert isinstance(g.index, kind)
+
+
 class TestGraphInvariants:
     @given(n=st.integers(2, 30), q=st.floats(0.1, 0.9), seed=st.integers(0, 10**6))
     @settings(max_examples=40, deadline=None)
@@ -297,15 +312,20 @@ class TestGraphInvariants:
         assert edge_weight(g2, g2.labels.tolist().index(0), g2.labels.tolist().index(2)) == 7.5
 
     def test_arrays_read_only(self):
-        g = Graph.build(4, [0, 0, 1, 2], [1, 2, 2, 3], weights=[1.0, 2.0, 3.0, 4.0],
-                        labels=[9, 8, 7, 6])
-        arrays = {f.name: getattr(g, f.name) for f in dataclasses.fields(g)
-                  if isinstance(getattr(g, f.name), np.ndarray)}
-        assert {"edge_u", "edge_v", "fptr", "fidx", "fpos", "degrees", "edge_keys",
-                "screen", "weights", "labels"} <= arrays.keys()
-        for arr in arrays.values():
-            with pytest.raises(ValueError, match="read-only"):
-                arr[0] = 3
+        # four edges fit the bit table on 4 vertices, not on 400
+        for n, kind in ((4, BitTable), (400, SlotScreen)):
+            g = Graph.build(n, [0, 0, 1, 2], [1, 2, 2, 3], weights=[1.0, 2.0, 3.0, 4.0],
+                            labels=list(range(n, 0, -1)))
+            assert isinstance(g.index, kind)
+            arrays = {f.name: getattr(g, f.name) for f in dataclasses.fields(g)
+                      if isinstance(getattr(g, f.name), np.ndarray)}
+            assert {"edge_u", "edge_v", "fptr", "fidx", "fpos", "degrees", "edge_keys",
+                    "weights", "labels"} <= arrays.keys()
+            index = _index_arrays(g)
+            assert len(index) == 2
+            for arr in [*arrays.values(), *index.values()]:
+                with pytest.raises(ValueError, match="read-only"):
+                    arr[0] = 3
 
     def test_build_rejects_out_of_range_ids(self):
         with pytest.raises(ValueError):
@@ -329,6 +349,13 @@ class TestGraphInvariants:
         assert path.read_bytes() == (b"-7 40 0.1\n"
                                      b"-7 4611686018427387904 0.3333333333333333\n"
                                      b"40 4611686018427387904 2.0\n")
+
+    def test_write_edge_list_keeps_masked_edges(self, tmp_path):
+        g = Graph.build(3, [0, 1, 0], [1, 2, 2], weights=[0.1, 2.0, 1 / 3],
+                        labels=[-7, 40, 2**62])
+        path = tmp_path / "g.txt"
+        write_edge_list(path, g, np.array([True, False, True]))
+        assert path.read_bytes() == b"-7 40 0.1\n40 4611686018427387904 2.0\n"
 
     def test_has_edge_and_positions(self):
         g = book(3)
@@ -370,7 +397,13 @@ def _assert_forward_layout(g):
     assert np.array_equal(np.maximum(src, g.fidx), g.edge_v[g.fpos])
 
 
-_ARRAYS = ("edge_u", "edge_v", "fptr", "fidx", "fpos", "degrees", "edge_keys", "screen")
+_ARRAYS = ("edge_u", "edge_v", "fptr", "fidx", "fpos", "degrees", "edge_keys")
+
+
+def _index_arrays(g) -> dict:
+    """The arrays of g's membership index by name, under its kind's name."""
+    kind = type(g.index).__name__
+    return {f"{kind}.{f.name}": getattr(g.index, f.name) for f in dataclasses.fields(g.index)}
 
 
 @st.composite
@@ -401,9 +434,12 @@ class TestBuildDedupe:
             assert got.dtype == np.int64 and not got.flags.writeable
             np.testing.assert_array_equal(got, want)
         weighted = Graph.build(n, us, vs, weights=np.arange(1, len(us) + 1, dtype=float))
-        for name in _ARRAYS:
-            np.testing.assert_array_equal(getattr(g, name), getattr(weighted, name))
-            assert getattr(g, name).dtype == getattr(weighted, name).dtype
+        got = {name: getattr(g, name) for name in _ARRAYS} | _index_arrays(g)
+        want = {name: getattr(weighted, name) for name in _ARRAYS} | _index_arrays(weighted)
+        assert got.keys() == want.keys()
+        for name, arr in got.items():
+            np.testing.assert_array_equal(arr, want[name])
+            assert arr.dtype == want[name].dtype
 
     def test_weighted_keeps_the_first_weight(self):
         g = Graph.build(3, [2, 0, 1, 0, 1], [1, 1, 2, 1, 0], weights=[5.0, 4.0, 3.0, 2.0, 1.0])
@@ -461,12 +497,14 @@ def _colliding_probes(draw):
     whose keys share a slot of its screen with an edge's key: each is
     an edge key plus a multiple of the screen size. n^2 far exceeds
     the slots, so most of them pass the screen and are no edge."""
-    n = draw(st.integers(2, 5000))
+    # from n = 64 on, 12 edges are too few for the bit table
+    n = draw(st.integers(64, 5000))
     pairs = draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)),
                           max_size=12))
     g = Graph.build(n, [u for u, _ in pairs], [v for _, v in pairs])
+    assert isinstance(g.index, SlotScreen)
     shifts = draw(st.lists(st.integers(-40, 40), min_size=1, max_size=8))
-    keys = (g.edge_keys[:, None] + g.screen.size * np.array(shifts)).ravel()
+    keys = (g.edge_keys[:, None] + g.index.slots.size * np.array(shifts)).ravel()
     u, v = np.divmod(keys[(keys >= 0) & (keys < n * n)], n)
     return g, u, v
 
@@ -488,12 +526,31 @@ class TestEdgePositions:
     def test_keys_sharing_a_slot(self, case):
         g, u, v = case
         # every probe passes the screen, so the key compare alone decides
-        assert g.screen[(u * g.n + v) & (g.screen.size - 1)].all()
+        slots = g.index.slots
+        assert slots[(u * g.n + v) & (slots.size - 1)].all()
+        _assert_positions(g, u, v)
+
+    @pytest.mark.parametrize("order", ["ascending", "descending", "shuffled", "every-64th-ascending"])
+    def test_probe_order(self, order):
+        # the screen searches its candidates in ascending order, sorting
+        # them unless every 64th ascends; positions never depend on it
+        g = Graph.build(20000, *np.random.default_rng(3).integers(0, 20000, (2, 3000)))
+        assert isinstance(g.index, SlotScreen)
+        keys = np.concatenate([g.edge_keys, g.edge_keys + 1, g.edge_keys[:500] * 7 % 20000**2])
+        keys = np.sort(keys)
+        if order == "descending":
+            keys = keys[::-1]
+        elif order == "shuffled":
+            keys = np.random.default_rng(4).permutation(keys)
+        elif order == "every-64th-ascending":
+            keys = keys.reshape(-1, 2)[:, ::-1].ravel()
+            assert (keys[::64][1:] >= keys[::64][:-1]).all() and (np.diff(keys) < 0).any()
+        u, v = np.divmod(keys, g.n)
         _assert_positions(g, u, v)
 
     def test_slot_shared_by_edges_and_non_edges(self):
         g = Graph.build(5000, [0, 0, 0], [32, 64, 96])
-        assert g.screen.size == 32
+        assert g.index.slots.size == 32
         u, v = np.divmod(np.arange(0, 50 * 32, 32), 5000)
         _assert_positions(g, u, v)
         np.testing.assert_array_equal(g.edge_positions(u, v)[:4], [-1, 0, 1, 2])
@@ -516,6 +573,94 @@ class TestEdgePositions:
         _assert_positions(g, us, vs)
         assert g.edge_positions(us, vs).shape == (2, 3)
         _assert_positions(g, np.int64(2), np.int64(0))
+
+
+def _all_pairs(n: int) -> tuple[np.ndarray, np.ndarray]:
+    ids = np.arange(n)
+    return np.repeat(ids, n), np.tile(ids, n)
+
+
+def _assert_rank_directory(g) -> None:
+    """g's bit table holds exactly its keys, and each rank counts the keys
+    in the words before it."""
+    words, rank = g.index.words, g.index.rank
+    assert words.size == -(-g.n * g.n // 64) and rank.dtype == np.int32
+    bits = np.unpackbits(words.view(np.uint8), bitorder="little")
+    np.testing.assert_array_equal(np.flatnonzero(bits), g.edge_keys)
+    per_word = np.bincount(g.edge_keys >> 6, minlength=words.size)
+    np.testing.assert_array_equal(rank, np.cumsum(per_word) - per_word)
+
+
+class TestBitTable:
+    """The exact bit table and rank directory, the index of every graph
+    whose 3n^2/16 bytes fit ``_TABLE_BYTES_PER_EDGE`` per edge."""
+
+    @pytest.mark.parametrize("n", [2, 3, 7, 8, 9, 63, 64, 65, 100, 129])
+    def test_complete_graphs(self, n):
+        # n^2 is a multiple of 64 only at n = 8 and 64
+        g = complete(n)
+        assert isinstance(g.index, BitTable)
+        _assert_rank_directory(g)
+        _assert_positions(g, *_all_pairs(n))
+        np.testing.assert_array_equal(g.edge_positions(g.edge_u, g.edge_v), np.arange(g.m))
+
+    @pytest.mark.parametrize("n", [9, 11, 13])
+    def test_last_edge_in_a_partial_last_word(self, n):
+        # the largest key, that of (n - 2, n - 1), in the last word, which
+        # holds fewer than 64 keys
+        g = Graph.build(n, [0, n - 2], [1, n - 1])
+        assert isinstance(g.index, BitTable) and n * n % 64
+        assert g.edge_keys[-1] >> 6 == g.index.words.size - 1
+        _assert_rank_directory(g)
+        _assert_positions(g, *_all_pairs(n))
+        assert int(g.edge_positions(n - 1, n - 2)) == 1
+
+    @pytest.mark.parametrize("n", [0, 1, 2, 11])
+    def test_edgeless(self, n):
+        # an edgeless graph counts as one edge, so up to two words fit
+        g = Graph.build(n, [], [])
+        assert isinstance(g.index, BitTable)
+        _assert_rank_directory(g)
+        _assert_positions(g, *_all_pairs(n))
+        assert count_triangles(g) == 0
+        assert isinstance(Graph.build(12, [], []).index, SlotScreen)
+
+    def test_both_sides_of_the_budget(self):
+        # 64 vertices take 64 words of 12 bytes: the table from 24 edges on
+        n, budget = 64, graph_module._TABLE_BYTES_PER_EDGE
+        fit = -(-12 * n * n // 64 // budget)
+        pairs = np.random.default_rng(7).permutation(
+            np.array([(u, v) for u in range(n) for v in range(u + 1, n)]))[:fit]
+        below = Graph.build(n, pairs[:-1, 0], pairs[:-1, 1])
+        at = Graph.build(n, pairs[:, 0], pairs[:, 1])
+        assert isinstance(below.index, SlotScreen) and isinstance(at.index, BitTable)
+        _assert_rank_directory(at)
+        for g in (below, at):
+            _assert_positions(g, *_all_pairs(n))
+
+    @pytest.mark.parametrize("chunk", [1, 3, 64])
+    def test_build_in_blocks(self, chunk, monkeypatch):
+        want = complete(40).index
+        monkeypatch.setattr(graph_module, "_TABLE_BUILD_CHUNK", chunk)
+        got = complete(40).index
+        np.testing.assert_array_equal(got.words, want.words)
+        np.testing.assert_array_equal(got.rank, want.rank)
+
+    def test_ranks_fit_int32(self, monkeypatch):
+        # 2^31 keys would overflow an int32 rank: the screen, whatever n
+        monkeypatch.setattr(graph_module, "bit_table", lambda keys, n: "table")
+        monkeypatch.setattr(graph_module, "slot_table", lambda keys, n: "screen")
+        for m, kind in ((2**31 - 1, "table"), (2**31, "screen")):
+            assert graph_module.edge_index(np.broadcast_to(np.int64(0), (m,)), 2**16) == kind
+
+    @given(g=raw_graphs())
+    @settings(max_examples=100, deadline=None)
+    def test_rank_directory(self, g):
+        if isinstance(g.index, BitTable):
+            _assert_rank_directory(g)
+        else:
+            # 12 bytes per 64-bit word of the table
+            assert 12 * -(-g.n * g.n // 64) > graph_module._TABLE_BYTES_PER_EDGE * max(g.m, 1)
 
 
 class TestKeyArithmetic:

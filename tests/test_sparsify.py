@@ -239,17 +239,19 @@ class TestMaskedTrial:
                 for s in range(3)] == want
 
     def test_builds_no_slot_table(self, monkeypatch):
-        # every trial probes the parent's own screen and keys
-        g = gnp(80, 0.3, 2)
+        # every trial probes the parent's own index, on both of its kinds
+        graphs = [gnp(80, 0.3, 2), _spread(gnp(40, 0.4, 5), 2000, 1)]
+        assert [type(g.index).__name__ for g in graphs] == ["BitTable", "SlotScreen"]
         want = [estimate_triangles(g, SparsifyParams(p=p, seed=s)).t_prime
-                for p in (0.5, 1.0) for s in range(3)]
+                for g in graphs for p in (0.5, 1.0) for s in range(3)]
 
         def no_table(*args, **kwargs):
-            raise AssertionError("a trial built a slot table")
-        for module in (graph_module, exact):
-            monkeypatch.setattr(module, "slot_table", no_table)
+            raise AssertionError("a trial built a membership index")
+        for module, name in ((graph_module, "slot_table"), (graph_module, "bit_table"),
+                             (graph_module, "edge_index"), (exact, "slot_table")):
+            monkeypatch.setattr(module, name, no_table)
         assert [estimate_triangles(g, SparsifyParams(p=p, seed=s)).t_prime
-                for p in (0.5, 1.0) for s in range(3)] == want
+                for g in graphs for p in (0.5, 1.0) for s in range(3)] == want
 
     def test_starts_no_pool(self, monkeypatch):
         # trials run in parallel with each other; a pool inside each would
