@@ -60,51 +60,86 @@ def _require_unweighted(g: Graph, what: str) -> None:
 
 def forward_sample(g: Graph, mask: np.ndarray):
     """The forward rows of the subgraph of g keeping the canonical edges
-    where ``mask`` holds, without building it: (first, fdeg, fidx). The
-    surviving forward entries ``fidx`` keep g's forward order, and each
-    row that keeps at least two of them, the only rows with wedges,
-    starts ``first`` into fidx and holds ``fdeg`` entries. g's vertex
-    order is still a total order on the sample, so ``count_forward``
-    finds each of its triangles once. Past gathering the mask into
-    forward order, the cost is O(pm): an entry's row is the other
-    endpoint of its canonical edge, so g's ``fptr`` is never read. When
-    every edge survives the rows are g's own and fidx is g's, with no
-    copy."""
+    where ``mask`` holds, without building it: (first, fdeg, fidx), all
+    int32. The surviving forward entries ``fidx`` keep g's forward
+    order, and each row that keeps at least two of them, the only rows
+    with wedges, starts ``first`` into fidx and holds ``fdeg`` entries.
+    g's vertex order is still a total order on the sample, so
+    ``count_forward`` finds each of its triangles once. When every edge
+    survives the rows are g's own and fidx is g's, with no copy.
+
+    Where fewer than m/16 edges survive, the survivors come from the
+    mask's nonzero positions, oriented and sorted into forward order.
+    Otherwise the mask is gathered into forward order, past which the
+    cost is O(pm). Either way g's ``fptr`` is never read."""
     _require_unweighted(g, "forward_sample")
     if mask.all():
         return *_forward_rows(g), g.fidx
-    fidx = np.empty(np.count_nonzero(mask), dtype=np.int64)
-    # same[k]: surviving entries k - 1 and k share a row, that is, the
-    # other endpoints of their canonical edges agree. Worked out for
-    # SAMPLE_CHUNK forward entries at a time, so the temporaries stay small.
-    same = np.zeros(fidx.size + 1, dtype=bool)
-    at, last = 0, -1
-    for a in range(0, g.m, SAMPLE_CHUNK):
-        chunk = g.fpos[a:a + SAMPLE_CHUNK]
-        pos = np.flatnonzero(mask[chunk])
-        if not pos.size:
-            continue
-        dst = fidx[at:at + pos.size]
-        np.take(g.fidx[a:a + SAMPLE_CHUNK], pos, out=dst, mode="clip")
-        edge = chunk[pos]
-        src = g.edge_u[edge]
-        src += g.edge_v[edge]
-        src -= dst
-        same[at] = src[0] == last
-        np.equal(src[1:], src[:-1], out=same[at + 1:at + pos.size])
-        at, last = at + pos.size, src[-1]
+    kept = np.count_nonzero(mask)
+    # same[k]: surviving entries k - 1 and k share a row
+    same = np.zeros(kept + 1, dtype=bool)
+    if 16 * kept < g.m:
+        src, fidx = _oriented(g, np.flatnonzero(mask))
+        np.equal(src[1:], src[:-1], out=same[1:-1])
+    else:
+        fidx = np.empty(kept, dtype=g.fidx.dtype)
+        # an entry's row is the other endpoint of its canonical edge, worked
+        # out for SAMPLE_CHUNK forward entries at a time, so the temporaries
+        # stay small
+        at, last = 0, -1
+        for a in range(0, g.m, SAMPLE_CHUNK):
+            # intp once, for both gathers
+            chunk = g.fpos[a:a + SAMPLE_CHUNK].astype(np.intp)
+            pos = np.flatnonzero(mask[chunk])
+            if not pos.size:
+                continue
+            dst = fidx[at:at + pos.size]
+            np.take(g.fidx[a:a + SAMPLE_CHUNK], pos, out=dst, mode="clip")
+            src = _endpoint_sums(g, chunk[pos])
+            src -= dst
+            same[at] = src[0] == last
+            np.equal(src[1:], src[:-1], out=same[at + 1:at + pos.size])
+            at, last = at + pos.size, src[-1]
     # a run of same from k to l is the row of entries k - 1 to l
     first = np.flatnonzero(same[1:] > same[:-1])
     fdeg = np.flatnonzero(same[1:] < same[:-1])
     fdeg -= first
     fdeg += 1
-    return first, fdeg, fidx
+    return first.astype(np.int32), fdeg.astype(np.int32), fidx
+
+
+def _endpoint_sums(g: Graph, edges: np.ndarray) -> np.ndarray:
+    """u + v of the canonical ``edges`` of g. Where the keys are int32,
+    so that n <= 46340, it is one gather of a key and a divmod by n in
+    int32, which moves a quarter of the bytes of the two int64 endpoint
+    gathers."""
+    if g.edge_keys.dtype == np.int32:
+        u, v = np.divmod(g.edge_keys[edges], g.n)
+    else:
+        u, v = g.edge_u[edges], g.edge_v[edges]
+    u += v
+    return u
+
+
+def _oriented(g: Graph, edges: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(src, dst) of the canonical ``edges`` of g, each from its lower to
+    its higher endpoint in degree-then-id order, in forward order; dst
+    is int32."""
+    u, v = g.edge_u[edges], g.edge_v[edges]
+    # as in Graph.build: u < v, so the edge points from u iff deg u <= deg v
+    forward = g.degrees[u] <= g.degrees[v]
+    # keys src*n + dst sort into forward order
+    key = np.multiply(np.where(forward, u, v), g.n, dtype=g.edge_keys.dtype)
+    key += np.where(forward, v, u)
+    key.sort()
+    src, dst = np.divmod(key, g.n)
+    return src, dst.astype(np.int32, copy=False)
 
 
 def _forward_rows(g: Graph) -> tuple[np.ndarray, np.ndarray]:
     """(first, fdeg) of g's forward rows of at least two entries."""
-    fdeg = np.diff(g.fptr)
-    rows = np.flatnonzero(fdeg >= 2)
+    fdeg = g.fptr[1:] - g.fptr[:-1]
+    rows = (fdeg >= 2).nonzero()[0]
     return g.fptr[rows], fdeg[rows]
 
 
@@ -220,7 +255,7 @@ def _scan_steps(g: Graph, first: np.ndarray, fdeg: np.ndarray, fidx: np.ndarray,
     def probe_pack(pack):
         # the wedges of each step of the pack follow the last step's
         sizes = [ii.size * starts.size for _, ii, _, starts in pack]
-        probe = np.empty(sum(sizes), dtype=np.int64)
+        probe = np.empty(sum(sizes), dtype=g.edge_keys.dtype)
         at = 0
         for (f, ii, jj, starts), size in zip(pack, sizes):
             # block[c] holds entry c of each of the step's rows and probe[k]
@@ -230,8 +265,9 @@ def _scan_steps(g: Graph, first: np.ndarray, fdeg: np.ndarray, fidx: np.ndarray,
             out = probe[at:at + size]
             # in scan order: a row's wedges together, pair by pair
             out = out.reshape(starts.size, ii.size).T if ordered else out.reshape(ii.size, -1)
-            np.multiply(block[ii], n, out=out)
-            out += block[jj]
+            # dtype= makes the product in the key dtype, not in fidx's int32
+            np.multiply(block.take(ii, axis=0), n, out=out, dtype=probe.dtype)
+            out += block.take(jj, axis=0)
             at += size
         # freed before the lookup allocates: held, it lifted a p = 0.93
         # trial on book(300000) past glibc's trim threshold, and each such
@@ -259,7 +295,9 @@ def _scan_steps(g: Graph, first: np.ndarray, fdeg: np.ndarray, fidx: np.ndarray,
             firsts.append(fpos[start + ii[pair]])
             seconds.append(fpos[start + jj[pair]])
             at, lo = at + size, hi
-        return idx.size, (np.concatenate(firsts), np.concatenate(seconds), loc)
+        # intp positions keep the callers' gathers and add.at on their fast paths
+        return idx.size, (np.concatenate(firsts, dtype=np.intp),
+                          np.concatenate(seconds, dtype=np.intp), loc)
 
     budget = max(1, WEDGE_CHUNK // threads)
     return _in_order(probe_pack, _packs(_steps(first, fdeg, budget), budget), threads)
@@ -424,10 +462,12 @@ def count_edge_iterator(g: Graph, *, edge_deltas: bool = False) -> TriangleStats
         # dense; they are ends[i]:ends[i + 1] in the run of all probes
         ends = np.zeros(m + 1, dtype=np.int64)
         np.cumsum(np.where(both, 0, np.minimum(deg[g.edge_u], deg[g.edge_v])), out=ends[1:])
-        # sorted keys u*n+w of both directions of every edge: row u of
-        # them is N(u), ascending
-        keys = np.concatenate([g.edge_u * np.int64(n) + g.edge_v,
-                               g.edge_v * np.int64(n) + g.edge_u])
+        # sorted keys u*n+w of both directions of every edge, in the key
+        # dtype: row u of them is N(u), ascending
+        keys = np.empty(2 * m, dtype=g.edge_keys.dtype)
+        for x, y, out in ((g.edge_u, g.edge_v, keys[:m]), (g.edge_v, g.edge_u, keys[m:])):
+            np.multiply(x, n, out=out)
+            out += y
         keys.sort()
         ptr = np.zeros(n + 1, dtype=np.int64)
         np.cumsum(deg, out=ptr[1:])

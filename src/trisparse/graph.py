@@ -10,8 +10,9 @@ from pathlib import Path
 
 import numpy as np
 
-# u*n+v edge keys must fit in int64
-_MAX_VERTICES = 3_037_000_499
+# vertex ids, forward positions and row offsets are int32, so n and the
+# number of edges stay below 2^31
+_MAX_INT32 = 2**31 - 1
 # original vertex ids are kept as int64 labels
 _MIN_ID, _MAX_ID = -2**63, 2**63 - 1
 # Slots per edge in the membership screen (rounded up to a power of two):
@@ -60,6 +61,15 @@ class Graph:
     are read-only, so instances are safe to share across threads.
     ``labels`` maps compact vertex ids back to the ids found in the input
     file; it is None for generated graphs.
+
+    The arrays the kernels stream are 32-bit: ``fptr``, ``fidx``,
+    ``fpos`` and ``degrees`` are int32, and ``edge_keys`` are int32
+    where n^2 < 2^31 (n <= 46340), else int64 (``key_dtype``); every
+    key probed against them takes the same dtype. ``edge_u``, ``edge_v``
+    and ``labels`` are int64, so that the sum of two endpoints cannot
+    overflow. Per edge that is 16 bytes of endpoints, 8 of forward
+    entries and 4 or 8 of keys, plus the index. n and the number of
+    endpoint pairs given to ``build`` must be below 2^31.
     """
 
     n: int
@@ -88,7 +98,8 @@ class Graph:
         [0, n). Vectorized."""
         us = np.asarray(us, dtype=np.int64)
         vs = np.asarray(vs, dtype=np.int64)
-        keys = np.minimum(us, vs) * np.int64(self.n) + np.maximum(us, vs)
+        keys = np.multiply(np.minimum(us, vs), self.n, dtype=self.edge_keys.dtype)
+        keys += np.maximum(us, vs)
         idx, loc = lookup(keys.ravel(), self.index)
         pos = np.full(keys.shape, -1, dtype=np.int64)
         np.put(pos, idx, loc)
@@ -103,16 +114,19 @@ class Graph:
 
         Self-loops are dropped, parallel edges collapse to the first
         occurrence (its weight wins for weighted input), and vertex ids
-        must already lie in [0, n).
+        must already lie in [0, n). n and the number of endpoint pairs
+        must be below 2^31. Each temporary is freed once it is used, so
+        the build holds little more than the finished graph.
         """
         if n < 0:
             raise ValueError(f"vertex count must be nonnegative, got {n}")
-        if n > _MAX_VERTICES:
-            raise ValueError(f"graph too large for int64 edge keys: n={n}")
-        eu = np.asarray(edge_u, dtype=np.int64).ravel()
-        ev = np.asarray(edge_v, dtype=np.int64).ravel()
+        eu, ev = np.asarray(edge_u), np.asarray(edge_v)
+        if n > _MAX_INT32 or max(eu.size, ev.size) > _MAX_INT32:
+            raise ValueError(f"graph too large for int32 vertex ids and positions: "
+                             f"n={n}, m={max(eu.size, ev.size)}")
         if eu.size != ev.size:
             raise ValueError("edge endpoint arrays differ in length")
+        eu, ev = _ids(eu), _ids(ev)
         w = None
         if weights is not None:
             w = np.asarray(weights, dtype=np.float64).ravel()
@@ -121,42 +135,56 @@ class Graph:
         if eu.size and (eu.min() < 0 or ev.min() < 0 or max(eu.max(), ev.max()) >= n):
             raise ValueError("vertex id out of range")
 
-        lo = np.minimum(eu, ev)
-        hi = np.maximum(eu, ev)
+        lo = np.minimum(eu, ev, dtype=np.int32)
+        hi = np.maximum(eu, ev, dtype=np.int32)
+        del eu, ev
         keep = lo != hi
-        lo, hi = lo[keep], hi[keep]
-        if w is not None:
-            w = w[keep]
-
-        keys = lo * np.int64(n) + hi
+        if not keep.all():
+            lo, hi = lo[keep], hi[keep]
+            if w is not None:
+                w = w[keep]
+        del keep
+        # dtype= makes the product in the key dtype, not in int32
+        keys = np.multiply(lo, n, dtype=key_dtype(n))
+        keys += hi
+        del lo, hi
         if w is None:
             # no weight to keep, so any copy of an edge will do
-            del lo, hi
             keys.sort()
             new = np.ones(keys.size, dtype=bool)
             np.not_equal(keys[1:], keys[:-1], out=new[1:])
-            uniq = keys[new]
-            del keys, new
-            edge_u_f, edge_v_f = np.divmod(uniq, n)
+            uniq = keys if new.all() else keys[new]
+            del new
         else:
             uniq, first = np.unique(keys, return_index=True)
-            edge_u_f = lo[first]
-            edge_v_f = hi[first]
             w = w[first]
             if not np.all((w > 0) & (w < np.inf)):
                 raise ValueError("edge weights must be positive and finite")
+        del keys
+        edge_u_f, edge_v_f = np.divmod(uniq, n, dtype=np.int64)
 
-        degrees = np.bincount(edge_u_f, minlength=n) + np.bincount(edge_v_f, minlength=n)
-        rank = degrees * np.int64(n) + np.arange(n, dtype=np.int64)
-        forward = rank[edge_u_f] < rank[edge_v_f]
-        src = np.where(forward, edge_u_f, edge_v_f)
-        dst = np.where(forward, edge_v_f, edge_u_f)
-        # canonical order lists each row's dst ascending, so a stable sort by
-        # src alone gives (src, dst) order; the narrowest dtype sorts fastest
-        fpos = np.argsort(src.astype(np.min_scalar_type(n)), kind="stable")
-        fidx = dst[fpos]
-        fptr = np.zeros(n + 1, dtype=np.int64)
+        degrees = np.bincount(edge_u_f, minlength=n)
+        degrees += np.bincount(edge_v_f, minlength=n)
+        degrees = degrees.astype(np.int32)
+        # canonical u < v, so u precedes v in degree-then-id order, and the
+        # edge points forward from u, exactly when deg u <= deg v
+        forward = degrees[edge_u_f] <= degrees[edge_v_f]
+        dst = edge_u_f.astype(np.int32)
+        np.copyto(dst, edge_v_f, where=forward, casting="same_kind")
+        # src in the narrowest dtype, which sorts fastest
+        src = edge_v_f.astype(np.min_scalar_type(n))
+        np.copyto(src, edge_u_f, where=forward, casting="unsafe")
+        del forward
+        fptr = np.zeros(n + 1, dtype=np.int32)
         np.cumsum(np.bincount(src, minlength=n), out=fptr[1:])
+        # canonical order lists each row's dst ascending, so a stable sort by
+        # src alone gives (src, dst) order
+        order = np.argsort(src, kind="stable")
+        del src
+        fidx = dst[order]
+        del dst
+        fpos = order.astype(np.int32)
+        del order
 
         lab = None
         if labels is not None:
@@ -172,6 +200,18 @@ class Graph:
                      weights=w, labels=lab)
 
 
+def key_dtype(n: int) -> np.dtype:
+    """The dtype of the edge keys u*n+v of a graph on n vertices, and of
+    every key probed against them: int32 where n^2 < 2^31, that is for
+    n <= 46340, else int64."""
+    return np.dtype(np.int32 if n * n < 2**31 else np.int64)
+
+
+def _ids(a: np.ndarray) -> np.ndarray:
+    """``a`` as a flat int32 or int64 array, copied only if it is neither."""
+    return (a if a.dtype in (np.int32, np.int64) else a.astype(np.int64)).ravel()
+
+
 @dataclass(frozen=True, eq=False)
 class SlotScreen:
     """Screen-then-confirm membership among the sorted distinct ``keys``:
@@ -185,7 +225,8 @@ class SlotScreen:
     slots: np.ndarray
 
     def find(self, probe: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        idx = np.flatnonzero(self.slots[probe & (self.slots.size - 1)])
+        # an intp index spares the gather a conversion of int32 probes
+        idx = np.flatnonzero(self.slots[np.bitwise_and(probe, self.slots.size - 1, dtype=np.intp)])
         cand = probe[idx]
         # searched in ascending order, several times faster than in probe
         # order: numpy's binary search mispredicts fewer branches and misses
@@ -220,15 +261,16 @@ class BitTable:
     rank: np.ndarray
 
     def find(self, probe: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        # bit k & 7 of byte k >> 3 is bit k & 63 of word k >> 6
-        byte = self.words.view(np.uint8).take(probe >> 3)
+        # bit k & 7 of byte k >> 3 is bit k & 63 of word k >> 6; intp
+        # indices spare each gather a conversion of int32 probes
+        byte = self.words.view(np.uint8).take(np.right_shift(probe, 3, dtype=np.intp))
         shift = probe.astype(np.uint8)
         shift &= 7
         byte >>= shift
         byte &= 1
         idx = np.flatnonzero(byte.view(bool))
         key = probe[idx]
-        at = key >> 6
+        at = np.right_shift(key, 6, dtype=np.intp)
         below = self.words[at]
         below &= np.left_shift(np.uint64(1), (key & 63).astype(np.uint64)) - np.uint64(1)
         loc = self.rank[at].astype(np.int64)
@@ -257,9 +299,14 @@ def bit_table(keys: np.ndarray, n: int) -> BitTable:
     # memory of a count on gnp(10000,0.02), 11 MiB higher.
     for a in range(0, keys.size, _TABLE_BUILD_CHUNK):
         block = keys[a:a + _TABLE_BUILD_CHUNK]
-        np.add.at(words.view(np.uint8), block >> 3, np.left_shift(1, block & 7).astype(np.uint8))
+        # intp byte positions keep add.at on its fast path
+        np.add.at(words.view(np.uint8), np.right_shift(block, 3, dtype=np.intp),
+                  np.left_shift(1, block & 7).astype(np.uint8))
+    # the counts summed in place: cumsum of the uint8 counts into int32
+    # would cast them to a temporary as large as rank
     rank = np.zeros(words.size, dtype=np.int32)
-    np.cumsum(np.bitwise_count(words[:-1]), dtype=np.int32, out=rank[1:])
+    np.bitwise_count(words[:-1], out=rank[1:])
+    np.cumsum(rank, dtype=np.int32, out=rank)
     words.setflags(write=False)
     rank.setflags(write=False)
     return BitTable(words, rank)
@@ -315,9 +362,9 @@ def _read_edge_list(path: Path, weighted: bool):
         # frees its larger temporaries, these come from mmap (glibc raises
         # its mmap threshold to the largest block freed), so their memory
         # returns to the OS after Graph.build; allocated later they stay
-        # resident in the heap, 3.5 MiB on gnp(3000,0.05), and the
+        # resident in the heap, 1.7 MiB on gnp(3000,0.05), and the
         # commands that follow peak that much higher.
-        us = np.empty(data.count(b"\n") + 1, dtype=np.int64)
+        us = np.empty(data.count(b"\n") + 1, dtype=np.int32)
         vs = np.empty_like(us)
         ids = _vectorized_ids(data)
         if ids is not None:
@@ -332,6 +379,8 @@ def _read_edge_list(path: Path, weighted: bool):
 _PLAIN_BYTES = b"0123456789- \t\r\n"
 # 10**18 - 1 < 2**63 - 1, so numpy cannot overflow on ids this short
 _MAX_PLAIN_DIGITS = 18
+# bytes of whole lines whose tokens _plain_pair_tokens checks at once
+_TOKEN_BLOCK = 1 << 20
 
 
 def _vectorized_ids(data: bytes) -> np.ndarray | None:
@@ -365,26 +414,66 @@ def _vectorized_ids(data: bytes) -> np.ndarray | None:
 def _plain_pair_tokens(buf: np.ndarray) -> int | None:
     """The number of tokens in ``buf`` (bytes of ``_PLAIN_BYTES`` only), or
     None unless every line is blank or holds two ids of at most 18 digits,
-    each '-' opening a token and followed by a digit."""
+    each '-' opening a token and followed by a digit. Checked a block of
+    whole lines of about ``_TOKEN_BLOCK`` bytes at a time, so that the
+    temporaries stay small."""
+    tokens = start = 0
+    while start < buf.size:
+        end = _line_end(buf, start + _TOKEN_BLOCK)
+        count = _block_pair_tokens(buf[start:end])
+        if count is None:
+            return None
+        tokens += count
+        start = end
+    return tokens
+
+
+def _line_end(buf: np.ndarray, at: int) -> int:
+    """The offset just past the first '\\n' in ``buf`` at or after ``at``,
+    or the size of buf if there is none."""
+    width = 256
+    while at < buf.size:
+        found = buf[at:at + width] == ord("\n")
+        if found.any():
+            return at + int(found.argmax()) + 1
+        at += width
+        width *= 2
+    return buf.size
+
+
+def _block_pair_tokens(block: np.ndarray) -> int | None:
+    """``_plain_pair_tokens`` of one block of whole lines."""
     # word[i + 1]: byte i is part of a token; every separator is <= 32
-    word = np.zeros(buf.size + 2, dtype=bool)
-    np.greater(buf, 32, out=word[1:-1])
-    minus = np.flatnonzero(buf == ord("-"))
-    if minus.size and (word[minus].any() or minus[-1] == buf.size - 1
-                       or (buf[minus + 1] - ord("0") >= 10).any()):
-        return None  # a '-' inside a token or not followed by a digit
-    starts = np.flatnonzero(word[1:] > word[:-1])
-    digits = np.flatnonzero(word[1:] < word[:-1])
+    word = np.zeros(block.size + 2, dtype=bool)
+    np.greater(block, 32, out=word[1:-1])
+    # token k is block[edge[2k]:edge[2k + 1]]
+    edge = np.flatnonzero(word[1:] != word[:-1])
     del word
-    digits -= starts
-    digits -= buf[starts] == ord("-")
-    if starts.size % 2 or (digits.size and digits.max() > _MAX_PLAIN_DIGITS):
+    starts, ends = edge[0::2], edge[1::2]
+    if starts.size % 2:
         return None
-    del digits
-    # tokens before each line break: even everywhere (no line holds one or
-    # three), and rising by 2 at most (no line holds four or more)
-    before = np.searchsorted(starts, np.flatnonzero(buf == ord("\n")))
-    if (before & 1).any() or np.diff(before, prepend=0, append=starts.size).max() > 2:
+    digits = ends - starts
+    minus = np.count_nonzero(block == ord("-"))
+    if minus:
+        # every '-' opens a token, and a digit follows it, not a '-' or a
+        # separator
+        lead = block[starts] == ord("-")
+        if np.count_nonzero(lead) != minus or (digits[lead] < 2).any():
+            return None
+        digits -= lead
+    if digits.size and digits.max() > _MAX_PLAIN_DIGITS:
+        return None
+    # the separators between tokens k and k + 1 hold a line break exactly
+    # when k is odd: two tokens to a line. A run of one or two separators
+    # is its first and last byte; only longer runs are searched
+    after, before = ends[:-1], starts[1:]
+    breaks = block[after] == ord("\n")
+    breaks |= block[before - 1] == ord("\n")
+    long = np.flatnonzero(before - after > 2)
+    if long.size:
+        lines = np.flatnonzero(block == ord("\n"))
+        breaks[long] = np.searchsorted(lines, before[long]) > np.searchsorted(lines, after[long])
+    if breaks[0::2].any() or not breaks[1::2].all():
         return None
     return starts.size
 
@@ -419,7 +508,9 @@ def _compact_pairs(ids: np.ndarray, us: np.ndarray, vs: np.ndarray) -> np.ndarra
     np.minimum.at(first, keys, np.arange(ids.size))
     seen = np.flatnonzero(first < ids.size)
     order = seen[np.argsort(first[seen])]
-    rank = np.empty(span, dtype=np.int64)
+    # past 2^31 - 1 numbers, Graph.build rejects n = order.size before it
+    # reads the wrapped endpoints
+    rank = np.empty(span, dtype=us.dtype)
     rank[order] = np.arange(order.size)
     # mode="clip" writes straight into the output; every key is in range
     rank.take(keys[0::2], out=us, mode="clip")
@@ -483,7 +574,7 @@ def _parse_lines(path: Path, data: bytes, weighted: bool):
             if weighted:
                 ws.append(w)
 
-    return (np.array(us, dtype=np.int64), np.array(vs, dtype=np.int64),
+    return (np.array(us, dtype=np.int32), np.array(vs, dtype=np.int32),
             np.array(ws, dtype=np.float64) if weighted else None,
             np.array(labels, dtype=np.int64))
 

@@ -1,8 +1,14 @@
+import dataclasses
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 from oracles import labelled_edges
+import trisparse
 from trisparse import Graph, SparsifyParams, load_edge_list, sparsify, write_edge_list
 from trisparse.adaptive import trial_seed
 from trisparse import cli
@@ -487,3 +493,47 @@ class TestArgumentErrors:
         monkeypatch.setattr(cli, "load_edge_list", no_load)
         assert main([argv[0], "graph.txt", *argv[1:]]) == 1
         assert capsys.readouterr().err == f"error: {message}\n"
+
+
+# Run with only the standard library, so that its own small RSS is all that
+# a child spawned from it starts from: Linux starts a child's ru_maxrss at
+# the RSS of the process that spawned it, here far below the child's own.
+_PEAK_SPAWNER = """
+import os, subprocess, sys
+child = ("import resource, sys, trisparse.cli; "
+         "print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss); sys.stdout.flush(); "
+         "sys.exit(trisparse.cli.main(sys.argv[1:]))")
+proc = subprocess.Popen([sys.executable, "-c", child, *sys.argv[1:]], stdout=subprocess.PIPE)
+imported = int(proc.stdout.readline())
+proc.stdout.read()
+_, status, usage = os.wait4(proc.pid, 0)
+print(os.waitstatus_to_exitcode(status), imported, usage.ru_maxrss)
+"""
+
+# Most bytes, as a multiple of those in the Graph's own arrays and index,
+# that `count --algo node --census` may add to its RSS after the imports.
+# On gnp(6000, 0.02) it adds 1.64 times; with int64 arrays and the
+# temporaries of the build and the token check held, it added 1.98.
+_COUNT_PEAK_PER_GRAPH_BYTE = 1.8
+
+
+class TestCountMemory:
+    def test_peak_within_a_multiple_of_the_graph(self, tmp_path):
+        path = _gen(tmp_path, "gnp:6000:0.02", seed=3)
+        g = load_edge_list(path)
+        arrays = [g.edge_u, g.edge_v, g.fptr, g.fidx, g.fpos, g.degrees, g.edge_keys, g.labels,
+                  *(getattr(g.index, f.name) for f in dataclasses.fields(g.index))]
+        graph_bytes = sum(a.nbytes for a in arrays)
+        del g, arrays
+        src = Path(trisparse.__file__).resolve().parents[1]
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            filter(None, [str(src), os.environ.get("PYTHONPATH")]))}
+        out = subprocess.run(
+            [sys.executable, "-c", _PEAK_SPAWNER, "count", str(path), "--algo", "node", "--census"],
+            env=env, capture_output=True, text=True, check=True).stdout
+        code, imported, peak = map(int, out.split())
+        assert code == 0
+        ratio = (peak - imported) * 1024 / graph_bytes
+        print(f"count peak {peak / 1024:.1f} MiB, {imported / 1024:.1f} MiB after the imports, "
+              f"graph {graph_bytes / 2**20:.1f} MiB: {ratio:.2f} times the graph's bytes")
+        assert ratio <= _COUNT_PEAK_PER_GRAPH_BYTE

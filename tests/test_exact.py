@@ -41,6 +41,7 @@ from trisparse import (
 )
 from trisparse import graph as graph_module
 from trisparse.graph import BitTable, SlotScreen
+from trisparse.sparsify import survival_mask
 
 # perfbench's own exact.wedges counter, forward_wedges
 BENCH_LAYERS = load_perfbench("layers")
@@ -660,3 +661,55 @@ class TestVectorizedEdgeIterator:
         got = count_edge_iterator(bad, edge_deltas=True)
         assert got.delta_per_edge == intersect_edge_deltas(g)
         assert got == count_node_iterator(g, edge_deltas=True)
+
+
+class TestKeyDtypeBoundary:
+    """A graph on n = 46340 vertices, the most with int32 keys, and on
+    46341, the fewest with int64 keys, on the screen and on a forced
+    table, against the oracles of the same graph on 40 vertices."""
+
+    @pytest.mark.parametrize("table", [False, True], ids=["screen", "table"])
+    @pytest.mark.parametrize("n,dtype", [(46340, np.int32), (46341, np.int64)])
+    def test_against_oracles(self, n, dtype, table, monkeypatch):
+        base = gnp(40, 0.3, 11)
+        small = Graph.build(40, np.append(base.edge_u, 38), np.append(base.edge_v, 39))
+        # 40 ids spread over [0, n), the top two included, so that the
+        # largest key, that of edge (38, 39), is made. An increasing
+        # relabeling keeps the canonical and the degree-then-id order, and
+        # so every position
+        ids = np.concatenate([np.linspace(0, n - 3, 38).astype(np.int64), [n - 2, n - 1]])
+        if table:
+            # n^2 bits and their rank directory, 384 MiB for some 250 edges;
+            # only the rank's 128 MiB is all written
+            monkeypatch.setattr(graph_module, "_TABLE_BYTES_PER_EDGE", 2**40)
+        g = Graph.build(n, ids[small.edge_u], ids[small.edge_v])
+        monkeypatch.undo()
+        assert isinstance(g.index, BitTable if table else SlotScreen)
+        assert g.edge_keys.dtype == dtype and g.fidx.dtype == np.int32
+        assert g.edge_keys[-1] == (n - 2) * n + n - 1
+
+        t = count_brute_force(small)
+        assert t and count_triangles(g) == t
+        for threads in (1, 2):
+            np.testing.assert_equal(triangle_edge_positions(g, threads),
+                                    searchsorted_node_scan(small))
+        deltas = {(int(ids[u]), int(ids[v])): d for (u, v), d in edge_triangle_counts(small).items()}
+        assert count_node_iterator(g, edge_deltas=True).delta_per_edge == deltas
+        assert count_edge_iterator(g, edge_deltas=True).delta_per_edge == deltas
+        for p in (0.3, 0.7, 1.0):
+            for seed in range(3):
+                params = SparsifyParams(p=p, seed=seed)
+                mask = survival_mask(small.m, params)
+                want = count_brute_force(Graph.build(small.n, small.edge_u[mask], small.edge_v[mask]))
+                assert estimate_triangles(g, params).t_prime == want
+
+        # every pair of the 40 ids and of the ids just above them, most of
+        # which are no vertex of an edge
+        near = np.unique(np.concatenate([ids, ids[:-1] + 1]))
+        us, vs = np.repeat(near, near.size), np.tile(near, near.size)
+        position = {(int(ids[u]), int(ids[v])): k for k, (u, v) in enumerate(zip(small.edge_u, small.edge_v))}
+        want = [position.get((min(a, b), max(a, b)), -1) for a, b in zip(us.tolist(), vs.tolist())]
+        got = g.edge_positions(us, vs)
+        assert got.dtype == np.int64
+        np.testing.assert_array_equal(got, want)
+        assert np.count_nonzero(got >= 0) == 2 * g.m

@@ -24,7 +24,7 @@ from trisparse import (
 )
 from trisparse import generators
 from trisparse import graph as graph_module
-from trisparse.graph import _MAX_VERTICES, BitTable, SlotScreen
+from trisparse.graph import _MAX_INT32, BitTable, SlotScreen, key_dtype
 
 
 BENCH_WORKLOADS = load_perfbench("workloads")
@@ -385,9 +385,9 @@ def raw_graphs(draw):
 def _assert_forward_layout(g):
     fptr, fidx, fpos = forward_csr(g)
     for got, want in ((g.fptr, fptr), (g.fidx, fidx), (g.fpos, fpos)):
-        assert got.dtype == np.int64
+        assert got.dtype == np.int32
         assert np.array_equal(got, want)
-    assert g.degrees.dtype == np.int64
+    assert g.degrees.dtype == np.int32
     assert np.array_equal(
         g.degrees, np.bincount(np.concatenate([g.edge_u, g.edge_v]), minlength=g.n))
     assert np.array_equal(np.sort(g.fpos), np.arange(g.m))
@@ -430,8 +430,10 @@ class TestBuildDedupe:
         lo, hi = np.minimum(us, vs).astype(np.int64), np.maximum(us, vs).astype(np.int64)
         lo, hi = lo[lo != hi], hi[lo != hi]
         uniq, first = np.unique(lo * n + hi, return_index=True)
-        for got, want in ((g.edge_u, lo[first]), (g.edge_v, hi[first]), (g.edge_keys, uniq)):
-            assert got.dtype == np.int64 and not got.flags.writeable
+        # n <= 3000, so n^2 < 2^31 and the keys are int32
+        for got, want, dtype in ((g.edge_u, lo[first], np.int64), (g.edge_v, hi[first], np.int64),
+                                 (g.edge_keys, uniq, np.int32)):
+            assert got.dtype == dtype and not got.flags.writeable
             np.testing.assert_array_equal(got, want)
         weighted = Graph.build(n, us, vs, weights=np.arange(1, len(us) + 1, dtype=float))
         got = {name: getattr(g, name) for name in _ARRAYS} | _index_arrays(g)
@@ -664,33 +666,52 @@ class TestBitTable:
 
 
 class TestKeyArithmetic:
-    """u*n+v keys and degree-then-id ranks at the largest accepted n,
-    checked on the numbers alone: a graph that size cannot be built."""
+    """u*n+v edge keys, degree-then-id ranks and the int32 cap at the
+    largest accepted n and m, checked on the numbers alone: a graph that
+    size cannot be built."""
 
     def test_largest_rank_and_key_fit_in_int64(self):
-        n = _MAX_VERTICES
+        n = _MAX_INT32
         top_rank = (n - 1) * n + (n - 1)   # degree n-1, id n-1
         top_key = (n - 2) * n + (n - 1)    # canonical edge (n-2, n-1)
         assert top_rank <= 2**63 - 1 and top_key <= top_rank
-        assert (n + 1) * (n + 1) - 1 > 2**63 - 1  # the bound is tight
-        deg = np.array([n - 1], dtype=np.int64)
-        ids = np.array([n - 1], dtype=np.int64)
+        # ids, degrees and the sum of two ids, which the trials take in int64
+        assert n - 1 <= np.iinfo(np.int32).max < 2 * (n - 1) <= np.iinfo(np.int64).max
+        assert key_dtype(n) == np.int64
+        deg = np.array([n - 1], dtype=np.int32)
+        ids = np.array([n - 1], dtype=np.int32)
         assert int((deg * np.int64(n) + ids)[0]) == top_rank
 
+    def test_key_dtype_boundary(self):
+        # int32 keys exactly while n^2 < 2^31
+        assert 46340**2 < 2**31 < 46341**2
+        assert key_dtype(0) == key_dtype(46340) == np.int32
+        assert key_dtype(46341) == np.int64
+        assert Graph.build(46340, [0], [46339]).edge_keys.dtype == np.int32
+        assert Graph.build(46341, [0], [46340]).edge_keys.dtype == np.int64
+
     def test_divmod_recovers_endpoints(self):
-        n = _MAX_VERTICES
+        n = _MAX_INT32
         us = np.array([0, 0, n - 2, n // 2, 1], dtype=np.int64)
         vs = np.array([1, n - 1, n - 1, n // 2 + 1, n - 1], dtype=np.int64)
-        keys = us * np.int64(n) + vs
+        keys = np.multiply(us.astype(np.int32), n, dtype=key_dtype(n))
+        keys += vs
         assert [int(k) for k in keys] == [u * n + v for u, v in zip(us.tolist(), vs.tolist())]
-        a, b = np.divmod(keys, np.int64(n))
+        a, b = np.divmod(keys, n, dtype=np.int64)
         assert np.array_equal(a, us) and np.array_equal(b, vs)
 
     def test_build_above_the_limit_raises_before_allocating(self):
+        # 2^31 vertices, or 2^31 endpoint pairs: neither fits int32. The
+        # pairs are broadcast, so they take no memory either
+        many = np.broadcast_to(np.int32(0), (2**31,))
         tracemalloc.start()
         try:
-            with pytest.raises(ValueError, match="too large for int64 edge keys"):
-                Graph.build(_MAX_VERTICES + 1, [], [])
+            for args in ((_MAX_INT32 + 1, [], []), (4, many, many), (4, many, many[:-1])):
+                with pytest.raises(ValueError, match="too large for int32"):
+                    Graph.build(*args)
+            # 2^31 - 1 pairs pass the cap, to fail the next check
+            with pytest.raises(ValueError, match="differ in length"):
+                Graph.build(4, many[:-1], many[:-2])
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()

@@ -297,7 +297,7 @@ class TestForwardSample:
         first, fdeg, fidx = exact.forward_sample(g, mask)
         assert fidx is g.fidx
         for got, want in zip((first, fdeg, fidx), filtered_forward_rows(g, mask)):
-            assert got.dtype == np.int64
+            assert got.dtype == np.int32
             np.testing.assert_array_equal(got, want)
 
     @given(g=_graphs(), p=st.floats(0.0, 1.0), seed=st.integers(0, 10**6))
@@ -305,7 +305,7 @@ class TestForwardSample:
     def test_matches_the_filter(self, g, p, seed):
         mask = np.random.default_rng(seed).random(g.m) < p
         for got, want in zip(exact.forward_sample(g, mask), filtered_forward_rows(g, mask)):
-            assert got.dtype == np.int64
+            assert got.dtype == np.int32
             np.testing.assert_array_equal(got, want)
 
     @pytest.mark.parametrize("name", SHAPES)
