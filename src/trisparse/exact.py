@@ -12,7 +12,7 @@ from math import comb
 
 import numpy as np
 
-from .graph import Graph, lookup, slot_table
+from .graph import Graph, lookup
 
 DEFAULT_BRUTE_LIMIT = 1000
 
@@ -435,10 +435,9 @@ def count_edge_iterator(g: Graph, *, edge_deltas: bool = False) -> TriangleStats
     is counted by one AND and popcount of their rows, in steps whose
     gathered blocks hold at most ``WEDGE_CHUNK`` words. Every other edge
     probes each neighbor w of its lower-degree endpoint against its other
-    endpoint, through a ``slot_table`` screen and binary search, here
-    over the sorted keys of both directions of every edge: sum
-    min(deg u, deg v) probes over those edges, at most ``WEDGE_CHUNK`` per
-    step, or one edge's where that edge alone has more.
+    endpoint h, a ``lookup`` of the canonical key of (h, w) in g's own
+    ``index``: min(deg u, deg v) probes per edge, at most ``WEDGE_CHUNK``
+    per step over these edges alone, or one edge's where it has more.
     """
     _require_unweighted(g, "count_edge_iterator")
     n, m = g.n, g.m
@@ -454,45 +453,46 @@ def count_edge_iterator(g: Graph, *, edge_deltas: bool = False) -> TriangleStats
         for a in range(0, pair.size, step):
             e = pair[a:a + step]
             delta[e] = _common_neighbors(rows, rank[g.edge_u[e]], rank[g.edge_v[e]])
-        # e is a view of pair: all of them go before the keys are built
+        # e is a view of pair: all of them go before the neighbors are listed
         del rank, rows, e
     del pair
-    if not both.all():
-        # edge i makes min(deg u, deg v) probes, none if both ends are
-        # dense; they are ends[i]:ends[i + 1] in the run of all probes
-        ends = np.zeros(m + 1, dtype=np.int64)
-        np.cumsum(np.where(both, 0, np.minimum(deg[g.edge_u], deg[g.edge_v])), out=ends[1:])
-        # sorted keys u*n+w of both directions of every edge, in the key
-        # dtype: row u of them is N(u), ascending
-        keys = np.empty(2 * m, dtype=g.edge_keys.dtype)
-        for x, y, out in ((g.edge_u, g.edge_v, keys[:m]), (g.edge_v, g.edge_u, keys[m:])):
-            np.multiply(x, n, out=out)
-            out += y
-        keys.sort()
-        ptr = np.zeros(n + 1, dtype=np.int64)
-        np.cumsum(deg, out=ptr[1:])
-        screen = slot_table(keys, n)
+    probing = np.flatnonzero(~both)
+    if probing.size:
+        u, v = g.edge_u[probing], g.edge_v[probing]
+        # v - u where v is lo, the lower-degree endpoint: np.where is slower
+        d = (v - u) * (deg[u] > deg[v])
+        lo, hi = (u + d).astype(np.int32), (v - d).astype(np.int32)
+        del u, v, d
+        # probing edge i makes deg lo probes, ends[i]:ends[i + 1] of them all
+        ends = np.concatenate(([0], np.cumsum(deg[lo], dtype=np.int64)))
+        # N(x) of every vertex x, ascending, as int32 ids from ptr[x] on in
+        # nbr: the sorted keys x*n+y of both directions of every edge, mod n
+        nbr = np.empty(2 * m, dtype=g.edge_keys.dtype)
+        for x, y, half in ((g.edge_u, g.edge_v, slice(m)), (g.edge_v, g.edge_u, slice(m, None))):
+            np.multiply(x, n, out=nbr[half])
+            nbr[half] += y
+        nbr.sort()
+        nbr = np.remainder(nbr, n, out=nbr).astype(np.int32, copy=False)
+        ptr = np.cumsum(deg) - deg
         a = 0
-        while ends[a] < ends[m]:
-            # through the next edge with probes, and on while the step
-            # stays within WEDGE_CHUNK probes
-            nxt, full = np.searchsorted(ends, (ends[a], ends[a] + WEDGE_CHUNK), side="right").tolist()
-            b = max(nxt, full - 1)
-            # the step's edges with probes, each starting first[i] into it
-            e = a + np.flatnonzero(~both[a:b])
-            u, v = g.edge_u[e], g.edge_v[e]
-            lo = np.where(deg[u] > deg[v], v, u)
-            first = ends[e] - ends[a]
-            count = deg[lo]
-            probe = np.repeat(ptr[lo] - first, count)
-            probe += np.arange(probe.size)
-            probe = keys[probe]
-            # the key of (hi, w) is the key of (lo, w) plus (hi - lo) * n; an
-            # edge's probes ascend within row hi, so its searches share cache lines
-            probe += np.repeat((u + v - 2 * lo) * np.int64(n), count)
-            idx, _ = lookup(probe, screen)
+        while a < probing.size:
+            # at most WEDGE_CHUNK probes, or one edge's; edge i's from first[i] on
+            b = max(a + 1, int(np.searchsorted(ends, ends[a] + WEDGE_CHUNK, side="right")) - 1)
+            first = ends[a:b] - ends[a]
+            count = deg[lo[a:b]]
+            w = np.repeat(ptr[lo[a:b]] - first, count)
+            w += np.arange(w.size)
+            w = nbr[w]
+            h = np.repeat(hi[a:b], count)
+            # the canonical key of (h, w), made from two int32 ids
+            probe = np.minimum(h, w, dtype=g.edge_keys.dtype)
+            probe *= n
+            probe += np.maximum(h, w, out=h)
+            # w and h go before the lookup allocates
+            del w, h
+            idx, _ = lookup(probe, g.index)
             edge = np.searchsorted(first, idx, side="right") - 1
-            delta[e] = np.bincount(edge, minlength=e.size)
+            delta[probing[a:b]] = np.bincount(edge, minlength=b - a)
             a = b
     total = int(delta.sum())
     if total % 3:

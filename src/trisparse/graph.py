@@ -218,8 +218,8 @@ class SlotScreen:
     a bool table of 2^k ``slots`` with the slot k & (2^k - 1) of every
     key k set. A probe whose slot is clear is no key; one whose slot is
     set is confirmed by a binary search of ``keys``, so the answer is
-    exact whatever the screen passes. Costs the 8 bytes of each key plus
-    one byte per slot."""
+    exact whatever the screen passes. Costs the 4 or 8 bytes of each key
+    (``key_dtype``) plus one byte per slot."""
 
     keys: np.ndarray
     slots: np.ndarray

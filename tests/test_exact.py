@@ -1,7 +1,6 @@
 import itertools
 import sys
 import threading
-import time
 from concurrent import futures
 from dataclasses import astuple, replace
 
@@ -346,17 +345,21 @@ class TestScreenedKernel:
     @pytest.mark.parametrize("g", [complete(12), gnp(40, 0.3, 7)], ids=["complete", "gnp"])
     def test_wedges_in_flight(self, g, chunk, threads, monkeypatch):
         # steps that overlap in time never hold more than WEDGE_CHUNK
-        # wedges together, and they do overlap: the pause makes sure
+        # wedges together, and they do overlap: the first two lookups wait
+        # for each other
         want = triangle_edge_positions(g)
         monkeypatch.setattr(exact, "WEDGE_CHUNK", chunk)
-        lock = threading.Lock()
-        held, peak, lookup = [0], [0], exact.lookup
+        lock, barrier = threading.Lock(), threading.Barrier(2, timeout=60)
+        held, peak, calls, lookup = [0], [0], [0], exact.lookup
 
         def spy(probe, *args):
             with lock:
                 held[0] += probe.size
                 peak[0] = max(peak[0], held[0])
-            time.sleep(0.001)
+                calls[0] += 1
+                first_two = calls[0] <= 2
+            if first_two:
+                barrier.wait()
             try:
                 return lookup(probe, *args)
             finally:
@@ -518,18 +521,25 @@ class TestThreadedScan:
             triangle_edge_positions(complete(4), threads)
 
 
-def _with_screen(g: Graph) -> Graph:
-    """g rebuilt with the bit table's budget at zero, so on the screen."""
+# the membership index kinds, each with a bit table budget that forces it
+_INDEX_BUDGETS = {BitTable: 2**40, SlotScreen: 0}
+
+
+def _with_index(g: Graph, kind: type) -> Graph:
+    """g rebuilt on the membership index ``kind``: the bit table's budget
+    set unbounded forces the table, set at zero the screen."""
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(graph_module, "_TABLE_BYTES_PER_EDGE", 0)
-        return Graph.build(g.n, g.edge_u, g.edge_v)
+        mp.setattr(graph_module, "_TABLE_BYTES_PER_EDGE", _INDEX_BUDGETS[kind])
+        h = Graph.build(g.n, g.edge_u, g.edge_v)
+    assert isinstance(h.index, kind)
+    return h
 
 
 def _assert_table_matches_screen(g: Graph) -> None:
     """Everything the node scan and the baselines' positions give on g's
     bit table, against the same graph on the screen."""
-    s = _with_screen(g)
-    assert isinstance(g.index, BitTable) and isinstance(s.index, SlotScreen)
+    s = _with_index(g, SlotScreen)
+    assert isinstance(g.index, BitTable)
     for threads in (1, 2):
         np.testing.assert_equal(triangle_edge_positions(g, threads),
                                 triangle_edge_positions(s, threads))
@@ -578,7 +588,8 @@ class TestVectorizedEdgeIterator:
     @given(g=_SHAPES)
     @settings(max_examples=150, deadline=None)
     def test_deltas_match_oracle_and_node_iterator(self, g):
-        _assert_edge_deltas(g)
+        for kind in _INDEX_BUDGETS:
+            _assert_edge_deltas(_with_index(g, kind))
 
     @pytest.mark.parametrize("g", [
         Graph.build(0, [], []), Graph.build(1, [], []), Graph.build(6, [], []),
@@ -592,7 +603,9 @@ class TestVectorizedEdgeIterator:
                                    gnp(100, 0.025, 3)],
                              ids=["star", "book", "book-isolated", "gnp-mixed"])
     def test_step_budget(self, g, chunk, monkeypatch):
-        want = count_edge_iterator(g, edge_deltas=True)
+        # on both index kinds, each against its own count at the default chunk
+        graphs = [_with_index(g, kind) for kind in _INDEX_BUDGETS]
+        wants = [count_edge_iterator(h, edge_deltas=True) for h in graphs]
         probes = _edge_probes(g)
         words = -(-g.n // 64)
         if chunk is not None:
@@ -600,35 +613,40 @@ class TestVectorizedEdgeIterator:
             # the probed edges span more than one step
             assert probes.sum() > chunk
         sizes, blocks = _spy_edge_iterator(monkeypatch)
-        got = count_edge_iterator(g, edge_deltas=True)
-        assert got == want
-        assert got.delta_per_edge == intersect_edge_deltas(g)
-        # every probe made once; a step over the budget is one edge's probes,
-        # as for a book page's two at chunk 1
-        assert sum(sizes) == probes.sum()
-        assert 0 not in sizes
-        assert all(s <= exact.WEDGE_CHUNK or s in probes for s in sizes)
-        assert any(s > exact.WEDGE_CHUNK for s in sizes) == (probes.max() > exact.WEDGE_CHUNK)
-        # every dense pair counted once, max(1, WEDGE_CHUNK // words) per
-        # step, so a gathered block holds at most WEDGE_CHUNK words, or one row
-        step = max(1, exact.WEDGE_CHUNK // words)
-        assert sum(k for k, _ in blocks) == _dense_pairs(g).sum()
-        assert [k for k, _ in blocks[:-1]] == [step] * (len(blocks) - 1)
-        assert all(w == words and (k * w <= exact.WEDGE_CHUNK or k == 1) for k, w in blocks)
+        for h, want in zip(graphs, wants):
+            sizes.clear()
+            blocks.clear()
+            got = count_edge_iterator(h, edge_deltas=True)
+            assert got == want
+            assert got.delta_per_edge == intersect_edge_deltas(g)
+            # every probe made once; a step over the budget is one edge's
+            # probes, as for a book page's two at chunk 1
+            assert sum(sizes) == probes.sum()
+            assert 0 not in sizes
+            assert all(s <= exact.WEDGE_CHUNK or s in probes for s in sizes)
+            assert any(s > exact.WEDGE_CHUNK for s in sizes) == (probes.max() > exact.WEDGE_CHUNK)
+            # every dense pair counted once, max(1, WEDGE_CHUNK // words) per
+            # step, so a gathered block holds at most WEDGE_CHUNK words, or one row
+            step = max(1, exact.WEDGE_CHUNK // words)
+            assert sum(k for k, _ in blocks) == _dense_pairs(g).sum()
+            assert [k for k, _ in blocks[:-1]] == [step] * (len(blocks) - 1)
+            assert all(w == words and (k * w <= exact.WEDGE_CHUNK or k == 1) for k, w in blocks)
 
     @pytest.mark.parametrize("g", [book(200), with_isolated(book(150), 4, 70),
                                    with_isolated(gnp(80, 0.06, 1), 30, 50),
                                    gnp(150, 0.04, 6), _word_boundary()],
                              ids=["book", "book-isolated", "gnp-isolated", "gnp", "word-boundary"])
-    def test_both_paths_in_one_call(self, g, monkeypatch):
+    def test_both_paths_in_one_call(self, g):
         assert g.n > 64 and g.n % 64
-        sizes, blocks = _spy_edge_iterator(monkeypatch)
-        got = count_edge_iterator(g, edge_deltas=True)
-        assert sum(sizes) == _edge_probes(g).sum() > 0
-        assert sum(k for k, _ in blocks) == _dense_pairs(g).sum() > 0
-        monkeypatch.undo()
-        assert got.delta_per_edge == intersect_edge_deltas(g)
-        assert got == count_node_iterator(g, edge_deltas=True)
+        for kind in _INDEX_BUDGETS:
+            h = _with_index(g, kind)
+            with pytest.MonkeyPatch.context() as mp:
+                sizes, blocks = _spy_edge_iterator(mp)
+                got = count_edge_iterator(h, edge_deltas=True)
+            assert sum(sizes) == _edge_probes(g).sum() > 0
+            assert sum(k for k, _ in blocks) == _dense_pairs(g).sum() > 0
+            assert got.delta_per_edge == intersect_edge_deltas(g)
+            assert got == count_node_iterator(h, edge_deltas=True)
 
     def test_word_boundary_counts(self):
         got = count_edge_iterator(_word_boundary(), edge_deltas=True).delta_per_edge
@@ -638,17 +656,28 @@ class TestVectorizedEdgeIterator:
         assert got[(5, 63)] == got[(5, 64)] == 1
         assert got[(0, 100)] == 0
 
-    @pytest.mark.parametrize("g", [gnp(100, 0.5, 1), with_isolated(complete(20), 40, 100)],
-                             ids=["gnp", "complete-isolated"])
-    def test_all_dense_builds_no_screen(self, g, monkeypatch):
-        # every edge joins two dense vertices: no symmetric keys, no screen
+    @pytest.mark.parametrize("g,paths", [
+        (gnp(100, 0.5, 1), "dense"), (with_isolated(complete(20), 40, 100), "dense"),
+        (_word_boundary(), "mixed"), (book(200), "mixed"),
+        (star(200), "probing"), (with_isolated(book(40), 2, 3000), "probing"),
+    ], ids=["dense-gnp", "dense-complete-isolated", "mixed-word-boundary", "mixed-book",
+            "probing-star", "probing-book-isolated"])
+    def test_builds_no_index(self, g, paths, monkeypatch):
+        # every probe is a lookup in g's own index, on either kind; the
+        # iterator builds no membership index of its own
+        dense = _dense_pairs(g)
+        assert {"dense": dense.all(), "mixed": 0 < dense.sum() < g.m,
+                "probing": not dense.any()}[paths]
+        graphs = [_with_index(g, kind) for kind in _INDEX_BUDGETS]
         want = intersect_edge_deltas(g)
 
-        def no_table(*args, **kwargs):
-            raise AssertionError("the edge iterator built a screen")
-        monkeypatch.setattr(exact, "slot_table", no_table)
-        assert _dense_pairs(g).all()
-        assert count_edge_iterator(g, edge_deltas=True).delta_per_edge == want
+        def no_index(*args, **kwargs):
+            raise AssertionError("the edge iterator built a membership index")
+        for name in ("slot_table", "bit_table", "edge_index"):
+            assert not hasattr(exact, name)
+            monkeypatch.setattr(graph_module, name, no_index)
+        for h in graphs:
+            assert count_edge_iterator(h, edge_deltas=True).delta_per_edge == want
 
     @pytest.mark.parametrize("g", [gnp(40, 0.3, 9), book(30), complete(8),
                                    with_isolated(complete(6), 3, 5)],
