@@ -7,13 +7,12 @@ from __future__ import annotations
 import math
 import sys
 import warnings
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from time import perf_counter
 
 import numpy as np
 
-from .exact import check_threads
+from .exact import _in_order, check_threads
 from .graph import Graph
 from .sparsify import Estimate, SparsifyParams, estimate_triangles
 
@@ -188,14 +187,12 @@ def default_p0(n: int, p_floor: float = DEFAULT_P_FLOOR) -> float:
 def run_trials(g: Graph, p: float, seed: int, batch_index: int, trials: int,
                threads: int = 1) -> list[Estimate]:
     """Sparsify-and-count ``trials`` times at rate p on a pool of
-    ``threads`` (at least 1) workers; trial j uses seed
-    ``trial_seed(seed, batch_index, j)``. Results come back in trial
-    order, whatever the thread count."""
+    ``threads`` (at least 1) workers, or inline on the calling thread at
+    one; trial j uses seed ``trial_seed(seed, batch_index, j)``. Results
+    come back in trial order, whatever the thread count."""
     check_threads(threads)
-    params = [SparsifyParams(p=p, seed=trial_seed(seed, batch_index, j))
-              for j in range(trials)]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(lambda pr: estimate_triangles(g, pr), params))
+    params = (SparsifyParams(p=p, seed=trial_seed(seed, batch_index, j)) for j in range(trials))
+    return list(_in_order(lambda pr: estimate_triangles(g, pr), params, threads))
 
 
 def _run_batch(g: Graph, p: float, batch_index: int, trials: int,

@@ -90,8 +90,8 @@ def buriol_trial_nodes(g: Graph, r: int, rng: np.random.Generator):
     """Draw r (edge, third-node) trial pairs: an edge index uniform over
     the edge set and a node uniform over the other n-2 vertices."""
     eidx = rng.integers(0, g.m, size=r, dtype=np.int64)
-    i = g.edge_u[eidx]
-    j = g.edge_v[eidx]
+    # only the drawn edges' keys are decoded
+    i, j = np.divmod(g.edge_keys[eidx], g.n, dtype=np.int64)
     # map a draw from [0, n-3] onto V minus {i, j}; i < j holds canonically
     k = rng.integers(0, g.n - 2, size=r, dtype=np.int64)
     k = k + (k >= i)

@@ -95,7 +95,9 @@ def forward_sample(g: Graph, mask: np.ndarray):
                 continue
             dst = fidx[at:at + pos.size]
             np.take(g.fidx[a:a + SAMPLE_CHUNK], pos, out=dst, mode="clip")
-            src = _endpoint_sums(g, chunk[pos])
+            # u + v of each entry's edge, from its key u*n + v
+            src = g.edge_keys[chunk[pos]]
+            src -= src // g.n * (g.n - 1)
             src -= dst
             same[at] = src[0] == last
             np.equal(src[1:], src[:-1], out=same[at + 1:at + pos.size])
@@ -108,24 +110,11 @@ def forward_sample(g: Graph, mask: np.ndarray):
     return first.astype(np.int32), fdeg.astype(np.int32), fidx
 
 
-def _endpoint_sums(g: Graph, edges: np.ndarray) -> np.ndarray:
-    """u + v of the canonical ``edges`` of g. Where the keys are int32,
-    so that n <= 46340, it is one gather of a key and a divmod by n in
-    int32, which moves a quarter of the bytes of the two int64 endpoint
-    gathers."""
-    if g.edge_keys.dtype == np.int32:
-        u, v = np.divmod(g.edge_keys[edges], g.n)
-    else:
-        u, v = g.edge_u[edges], g.edge_v[edges]
-    u += v
-    return u
-
-
 def _oriented(g: Graph, edges: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(src, dst) of the canonical ``edges`` of g, each from its lower to
     its higher endpoint in degree-then-id order, in forward order; dst
     is int32."""
-    u, v = g.edge_u[edges], g.edge_v[edges]
+    u, v = np.divmod(g.edge_keys[edges], g.n)
     # as in Graph.build: u < v, so the edge points from u iff deg u <= deg v
     forward = g.degrees[u] <= g.degrees[v]
     # keys src*n + dst sort into forward order
@@ -206,11 +195,11 @@ def _packs(steps, budget: int):
 
 
 def _in_order(fn, steps, threads: int):
-    """fn of each step, in step order. With one thread the steps run
-    inline; with more they run on a pool of ``threads`` workers, at most
-    2 * threads of them submitted ahead of the one being collected
-    (``pool.map`` would submit every step at once, and so hold every
-    class's pair indices together)."""
+    """fn of each step, a scan's pack or a trial, in step order. With one
+    thread the steps run inline; with more they run on a pool of
+    ``threads`` workers, at most 2 * threads of them submitted ahead of
+    the one being collected (``pool.map`` would submit every step at
+    once, and so hold every class's pair indices together)."""
     if threads == 1:
         yield from map(fn, steps)
         return
@@ -368,10 +357,8 @@ def _delta_array(g: Graph, threads: int) -> tuple[int, np.ndarray]:
 
 def _stats_from_delta(g: Graph, t: int, delta: np.ndarray, edge_deltas: bool) -> TriangleStats:
     trans = transitivity(g, t)
-    per_edge = None
-    if edge_deltas:
-        per_edge = {(int(u), int(v)): int(d)
-                    for u, v, d in zip(g.edge_u, g.edge_v, delta)}
+    per_edge = (dict(zip(zip(g.edge_u.tolist(), g.edge_v.tolist()), delta.tolist()))
+                if edge_deltas else None)
     dmax = int(delta.max()) if delta.size else 0
     return TriangleStats(t=t, delta_max=dmax, transitivity=trans, delta_per_edge=per_edge)
 
@@ -406,7 +393,7 @@ def _bitmap_rows(g: Graph, dense: np.ndarray, words: int) -> tuple[np.ndarray, n
     flat = rows.reshape(-1)
     # WEDGE_CHUNK edges at a time, so the temporaries stay bounded
     for a in range(0, g.m, WEDGE_CHUNK):
-        u, v = g.edge_u[a:a + WEDGE_CHUNK], g.edge_v[a:a + WEDGE_CHUNK]
+        u, v = np.divmod(g.edge_keys[a:a + WEDGE_CHUNK], g.n)
         for x, c in ((u, v), (v, u)):
             keep = dense[x]
             x, c = x[keep], c[keep]
@@ -445,20 +432,22 @@ def count_edge_iterator(g: Graph, *, edge_deltas: bool = False) -> TriangleStats
     delta = np.zeros(m, dtype=np.int64)
     words = -(-n // 64)
     dense = deg >= words
-    both = dense[g.edge_u] & dense[g.edge_v]
+    # the endpoints, decoded once, in the key dtype
+    eu, ev = np.divmod(g.edge_keys, n)
+    both = dense[eu] & dense[ev]
     pair = np.flatnonzero(both)
     if pair.size:
         rank, rows = _bitmap_rows(g, dense, words)
         step = max(1, WEDGE_CHUNK // words)
         for a in range(0, pair.size, step):
             e = pair[a:a + step]
-            delta[e] = _common_neighbors(rows, rank[g.edge_u[e]], rank[g.edge_v[e]])
+            delta[e] = _common_neighbors(rows, rank[eu[e]], rank[ev[e]])
         # e is a view of pair: all of them go before the neighbors are listed
         del rank, rows, e
     del pair
     probing = np.flatnonzero(~both)
     if probing.size:
-        u, v = g.edge_u[probing], g.edge_v[probing]
+        u, v = eu[probing], ev[probing]
         # v - u where v is lo, the lower-degree endpoint: np.where is slower
         d = (v - u) * (deg[u] > deg[v])
         lo, hi = (u + d).astype(np.int32), (v - d).astype(np.int32)
@@ -466,11 +455,11 @@ def count_edge_iterator(g: Graph, *, edge_deltas: bool = False) -> TriangleStats
         # probing edge i makes deg lo probes, ends[i]:ends[i + 1] of them all
         ends = np.concatenate(([0], np.cumsum(deg[lo], dtype=np.int64)))
         # N(x) of every vertex x, ascending, as int32 ids from ptr[x] on in
-        # nbr: the sorted keys x*n+y of both directions of every edge, mod n
-        nbr = np.empty(2 * m, dtype=g.edge_keys.dtype)
-        for x, y, half in ((g.edge_u, g.edge_v, slice(m)), (g.edge_v, g.edge_u, slice(m, None))):
-            np.multiply(x, n, out=nbr[half])
-            nbr[half] += y
+        # nbr: the sorted keys x*n+y of both directions of every edge, mod n;
+        # those of one direction are the edge keys themselves
+        nbr = np.concatenate((g.edge_keys, np.multiply(ev, n, out=ev)))
+        nbr[m:] += eu
+        del eu, ev
         nbr.sort()
         nbr = np.remainder(nbr, n, out=nbr).astype(np.int32, copy=False)
         ptr = np.cumsum(deg) - deg

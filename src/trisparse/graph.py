@@ -49,32 +49,28 @@ class GraphStats:
 class Graph:
     """Undirected simple graph with optional positive edge weights.
 
-    Edges are stored canonically (u < v) and sorted lexicographically.
-    Each edge is also stored once in the forward CSR ``fptr, fidx``,
-    oriented from its lower to its higher endpoint in degree-then-id
-    order, with strictly ascending rows; ``fpos`` gives the canonical
-    edge index of each forward entry. ``edge_keys`` are the sorted keys
-    u*n+v of the canonical edges, and every membership probe, on g or a
-    sample of its edges, is a ``lookup`` in their ``index``: a
-    ``BitTable`` where its n^2 bits fit ``_TABLE_BYTES_PER_EDGE``, else
-    a ``SlotScreen``. Both give a key's canonical position. All arrays
-    are read-only, so instances are safe to share across threads.
-    ``labels`` maps compact vertex ids back to the ids found in the input
-    file; it is None for generated graphs.
+    Edges are stored once, canonically (u < v), as their sorted keys
+    ``edge_keys`` u*n+v, which is lexicographic edge order; ``edge_u``
+    and ``edge_v`` decode them. Each edge is also stored once in the
+    forward CSR ``fptr, fidx``, oriented from its lower to its higher
+    endpoint in degree-then-id order, with strictly ascending rows;
+    ``fpos`` gives the canonical edge index of each forward entry. Every
+    membership probe, on g or a sample of its edges, is a ``lookup`` in
+    the keys' ``index``: a ``BitTable`` where its n^2 bits fit
+    ``_TABLE_BYTES_PER_EDGE``, else a ``SlotScreen``. Both give a key's
+    canonical position. All arrays are read-only, so instances are safe
+    to share across threads. ``labels`` maps compact vertex ids back to
+    the ids found in the input file; it is None for generated graphs.
 
     The arrays the kernels stream are 32-bit: ``fptr``, ``fidx``,
     ``fpos`` and ``degrees`` are int32, and ``edge_keys`` are int32
     where n^2 < 2^31 (n <= 46340), else int64 (``key_dtype``); every
-    key probed against them takes the same dtype. ``edge_u``, ``edge_v``
-    and ``labels`` are int64, so that the sum of two endpoints cannot
-    overflow. Per edge that is 16 bytes of endpoints, 8 of forward
-    entries and 4 or 8 of keys, plus the index. n and the number of
-    endpoint pairs given to ``build`` must be below 2^31.
+    key probed against them takes the same dtype. Per edge that is 8
+    bytes of forward entries and 4 or 8 of keys, plus the index. n and
+    the number of endpoint pairs given to ``build`` must be below 2^31.
     """
 
     n: int
-    edge_u: np.ndarray
-    edge_v: np.ndarray
     fptr: np.ndarray
     fidx: np.ndarray
     fpos: np.ndarray
@@ -86,7 +82,19 @@ class Graph:
 
     @property
     def m(self) -> int:
-        return int(self.edge_u.size)
+        return int(self.edge_keys.size)
+
+    @property
+    def edge_u(self) -> np.ndarray:
+        """The lower endpoint of each canonical edge, decoded from its key
+        into a new read-only int64 array: O(m) a call, so the kernels
+        decode only the keys they need."""
+        return _read_only(np.floor_divide(self.edge_keys, self.n, dtype=np.int64))
+
+    @property
+    def edge_v(self) -> np.ndarray:
+        """The higher endpoint of each canonical edge, as ``edge_u``."""
+        return _read_only(np.remainder(self.edge_keys, self.n, dtype=np.int64))
 
     @property
     def is_weighted(self) -> bool:
@@ -161,20 +169,20 @@ class Graph:
             if not np.all((w > 0) & (w < np.inf)):
                 raise ValueError("edge weights must be positive and finite")
         del keys
-        edge_u_f, edge_v_f = np.divmod(uniq, n, dtype=np.int64)
-
-        degrees = np.bincount(edge_u_f, minlength=n)
-        degrees += np.bincount(edge_v_f, minlength=n)
+        # endpoints in the key dtype, only for the degrees and orientation
+        u, v = np.divmod(uniq, n)
+        degrees = np.bincount(u, minlength=n)
+        degrees += np.bincount(v, minlength=n)
         degrees = degrees.astype(np.int32)
         # canonical u < v, so u precedes v in degree-then-id order, and the
         # edge points forward from u, exactly when deg u <= deg v
-        forward = degrees[edge_u_f] <= degrees[edge_v_f]
-        dst = edge_u_f.astype(np.int32)
-        np.copyto(dst, edge_v_f, where=forward, casting="same_kind")
+        forward = degrees[u] <= degrees[v]
+        dst = u.astype(np.int32)
+        np.copyto(dst, v, where=forward, casting="same_kind")
         # src in the narrowest dtype, which sorts fastest
-        src = edge_v_f.astype(np.min_scalar_type(n))
-        np.copyto(src, edge_u_f, where=forward, casting="unsafe")
-        del forward
+        src = v.astype(np.min_scalar_type(n))
+        np.copyto(src, u, where=forward, casting="unsafe")
+        del u, v, forward
         fptr = np.zeros(n + 1, dtype=np.int32)
         np.cumsum(np.bincount(src, minlength=n), out=fptr[1:])
         # canonical order lists each row's dst ascending, so a stable sort by
@@ -192,12 +200,11 @@ class Graph:
             if lab.size != n:
                 raise ValueError("labels array must have one entry per vertex")
 
-        for arr in (edge_u_f, edge_v_f, fptr, fidx, fpos, degrees, uniq, w, lab):
+        for arr in (fptr, fidx, fpos, degrees, uniq, w, lab):
             if arr is not None:
-                arr.setflags(write=False)
-        return Graph(n=n, edge_u=edge_u_f, edge_v=edge_v_f, fptr=fptr, fidx=fidx,
-                     fpos=fpos, degrees=degrees, edge_keys=uniq, index=edge_index(uniq, n),
-                     weights=w, labels=lab)
+                _read_only(arr)
+        return Graph(n=n, fptr=fptr, fidx=fidx, fpos=fpos, degrees=degrees, edge_keys=uniq,
+                     index=edge_index(uniq, n), weights=w, labels=lab)
 
 
 def key_dtype(n: int) -> np.dtype:
@@ -205,6 +212,11 @@ def key_dtype(n: int) -> np.dtype:
     every key probed against them: int32 where n^2 < 2^31, that is for
     n <= 46340, else int64."""
     return np.dtype(np.int32 if n * n < 2**31 else np.int64)
+
+
+def _read_only(a: np.ndarray) -> np.ndarray:
+    a.setflags(write=False)
+    return a
 
 
 def _ids(a: np.ndarray) -> np.ndarray:
@@ -504,8 +516,10 @@ def _compact_pairs(ids: np.ndarray, us: np.ndarray, vs: np.ndarray) -> np.ndarra
     else:
         distinct, keys = np.unique(ids, return_inverse=True)
         span = distinct.size
-    first = np.full(span, ids.size, dtype=np.int64)
-    np.minimum.at(first, keys, np.arange(ids.size))
+    # uint32 on any file Graph.build accepts: half an int64 arange's bytes
+    index = np.min_scalar_type(ids.size)
+    first = np.full(span, ids.size, dtype=index)
+    np.minimum.at(first, keys, np.arange(ids.size, dtype=index))
     seen = np.flatnonzero(first < ids.size)
     order = seen[np.argsort(first[seen])]
     # past 2^31 - 1 numbers, Graph.build rejects n = order.size before it

@@ -512,8 +512,12 @@ print(os.waitstatus_to_exitcode(status), imported, usage.ru_maxrss)
 
 # Most bytes, as a multiple of those in the Graph's own arrays and index,
 # that `count --algo node --census` may add to its RSS after the imports.
-# On gnp(6000, 0.02) it adds 1.64 times; with int64 arrays and the
-# temporaries of the build and the token check held, it added 1.98.
+# The Graph stores its edges as keys alone, but the denominator still
+# counts the int64 endpoints that edge_u and edge_v decode, 16 bytes per
+# edge, so the budget means what it did when they were stored. On
+# gnp(6000, 0.02) it adds 1.26-1.29 times; with the endpoints stored,
+# 1.65; with int64 arrays and the temporaries of the build and the token
+# check held, 1.98.
 _COUNT_PEAK_PER_GRAPH_BYTE = 1.8
 
 

@@ -2,7 +2,7 @@ import itertools
 import sys
 import threading
 from concurrent import futures
-from dataclasses import astuple, replace
+from dataclasses import astuple, fields, replace
 
 import numpy as np
 import pytest
@@ -39,6 +39,8 @@ from trisparse import (
     weighted_book,
 )
 from trisparse import graph as graph_module
+from trisparse.adaptive import doubling_search
+from trisparse.baselines import buriol_sample, naive_sample
 from trisparse.graph import BitTable, SlotScreen
 from trisparse.sparsify import survival_mask
 
@@ -432,6 +434,10 @@ _SHAPES = st.one_of(
               st.builds(gnp, st.integers(1, 20), st.floats(0.2, 1.0), st.integers(0, 10**6)),
               st.integers(0, 10), st.integers(0, 10)),
     _edge_lists().map(lambda graphs: graphs[0]),
+    # n > 64 and low degrees: rows of several words, so the edge iterator
+    # probes the edges of the pages and leaves, not only ANDs rows
+    st.builds(with_isolated, st.builds(book, st.integers(1, 40)) | st.builds(star, st.integers(1, 40)),
+              st.integers(0, 10), st.integers(150, 300)),
 )
 
 
@@ -716,6 +722,11 @@ class TestKeyDtypeBoundary:
         assert isinstance(g.index, BitTable if table else SlotScreen)
         assert g.edge_keys.dtype == dtype and g.fidx.dtype == np.int32
         assert g.edge_keys[-1] == (n - 2) * n + n - 1
+        # the canonical edges are stored once, as keys, and decoded on read
+        assert not {"edge_u", "edge_v"} & {f.name for f in fields(g)}
+        for got, want in zip((g.edge_u, g.edge_v), np.divmod(g.edge_keys.astype(np.int64), n)):
+            assert got.dtype == np.int64 and not got.flags.writeable
+            np.testing.assert_array_equal(got, want)
 
         t = count_brute_force(small)
         assert t and count_triangles(g) == t
@@ -742,3 +753,28 @@ class TestKeyDtypeBoundary:
         assert got.dtype == np.int64
         np.testing.assert_array_equal(got, want)
         assert np.count_nonzero(got >= 0) == 2 * g.m
+
+
+class TestKeyDecoding:
+    """The hot paths decode only the keys they need: none reads the
+    endpoint properties, which decode the whole edge set."""
+
+    @pytest.mark.parametrize("g", [
+        gnp(200, 0.1, 4), book(300),
+        # n = 46383, past the int32 keys
+        with_isolated(gnp(40, 0.3, 11), 3, 46340),
+    ], ids=["gnp", "book", "int64-keys"])
+    def test_hot_paths_read_no_endpoint_arrays(self, g, monkeypatch):
+        def run():
+            return [count_node_iterator(g), count_triangles(g), count_edge_iterator(g),
+                    triple_census(g), *(estimate_triangles(g, SparsifyParams(p, 5)).t_prime
+                                        for p in (0.01, 0.3, 1.0)),
+                    doubling_search(g, seed=2).final_estimate, naive_sample(g, 500, 3),
+                    buriol_sample(g, 500, 3)]
+
+        def decoded(self):
+            raise AssertionError("a hot path decoded every edge")
+        want = run()
+        monkeypatch.setattr(Graph, "edge_u", property(decoded))
+        monkeypatch.setattr(Graph, "edge_v", property(decoded))
+        assert run() == want

@@ -319,11 +319,12 @@ class TestGraphInvariants:
             assert isinstance(g.index, kind)
             arrays = {f.name: getattr(g, f.name) for f in dataclasses.fields(g)
                       if isinstance(getattr(g, f.name), np.ndarray)}
-            assert {"edge_u", "edge_v", "fptr", "fidx", "fpos", "degrees", "edge_keys",
+            assert {"fptr", "fidx", "fpos", "degrees", "edge_keys",
                     "weights", "labels"} <= arrays.keys()
             index = _index_arrays(g)
             assert len(index) == 2
-            for arr in [*arrays.values(), *index.values()]:
+            # the decoded endpoints are read-only too
+            for arr in [*arrays.values(), *index.values(), g.edge_u, g.edge_v]:
                 with pytest.raises(ValueError, match="read-only"):
                     arr[0] = 3
 

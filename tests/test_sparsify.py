@@ -1,4 +1,5 @@
 import importlib
+from concurrent import futures
 from dataclasses import replace
 
 import numpy as np
@@ -254,14 +255,21 @@ class TestMaskedTrial:
 
     def test_starts_no_pool(self, monkeypatch):
         # trials run in parallel with each other; a pool inside each would
-        # oversubscribe the cores, so a trial's scan runs inline
+        # oversubscribe the cores, so a trial's scan runs inline. The
+        # trials' own pool is the only one, and at one thread there is none
         g = gnp(80, 0.3, 2)
         want = [e.t_prime for e in run_trials(g, 0.5, 3, 0, 4, threads=2)]
+        sizes = []
 
-        def no_pool(*args, **kwargs):
-            raise AssertionError("a trial started a pool in exact")
-        monkeypatch.setattr(exact, "ThreadPoolExecutor", no_pool)
+        class Pool(futures.ThreadPoolExecutor):
+            def __init__(self, workers):
+                sizes.append(workers)
+                super().__init__(workers)
+        monkeypatch.setattr(exact, "ThreadPoolExecutor", Pool)
         assert [e.t_prime for e in run_trials(g, 0.5, 3, 0, 4, threads=2)] == want
+        assert sizes == [2]
+        assert [e.t_prime for e in run_trials(g, 0.5, 3, 0, 4, threads=1)] == want
+        assert sizes == [2]
         assert estimate_triangles(g, SparsifyParams(p=0.5, seed=trial_seed(3, 0, 0))).t_prime \
             == want[0]
 
