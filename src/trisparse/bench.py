@@ -36,6 +36,12 @@ class SpeedupSummary:
             return exact_time / t if t > 0 else float("inf")
         return cls(xfaster1=over(count_time), xfaster2=over(total_time))
 
+    @classmethod
+    def of_search(cls, exact_time: float, report) -> "SpeedupSummary":
+        """``measure`` of a doubling search ``report``, timing p* by its last rung."""
+        star = report.trace[-1]
+        return cls.measure(exact_time, star.count_time / len(star.estimates), report.total_time)
+
 
 @dataclass
 class ExperimentRecord:

@@ -207,9 +207,7 @@ def cmd_adaptive(args) -> int:
                "exact_t": exact_t, "exact_time": exact_time,
                "expected_speedup": bench.expected_speedup(report.p_star)}
     if exact_time is not None:
-        star = report.trace[-1]
-        summary["speedups"] = asdict(bench.SpeedupSummary.measure(
-            exact_time, star.count_time / len(star.estimates), report.total_time))
+        summary["speedups"] = asdict(bench.SpeedupSummary.of_search(exact_time, report))
     print(bench.format_table(
         ["p_star", "final_estimate", "ratio", "total_trials", "total_time", "xfaster1", "xfaster2"],
         [[report.p_star, report.final_estimate, record.ratio, report.total_trials,
@@ -303,9 +301,7 @@ def cmd_bench(args) -> int:
                                {"r": r, "epsilon": args.epsilon, "delta": args.delta},
                                estimate, exact_t, 0.0, sample_time, seed=args.seed))
 
-    star = report.trace[-1]
-    speedups = bench.SpeedupSummary.measure(
-        node_time, star.count_time / len(star.estimates), report.total_time)
+    speedups = bench.SpeedupSummary.of_search(node_time, report)
     summary = {
         "exact_t": exact_t,
         "p_star": report.p_star,

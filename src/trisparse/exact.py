@@ -12,7 +12,7 @@ from math import comb
 
 import numpy as np
 
-from .graph import Graph, lookup
+from .graph import Graph, lookup, set_bits
 
 DEFAULT_BRUTE_LIMIT = 1000
 
@@ -215,7 +215,7 @@ def _in_order(fn, steps, threads: int):
 
 def _scan_steps(g: Graph, first: np.ndarray, fdeg: np.ndarray, fidx: np.ndarray,
                 alive: np.ndarray | None = None, fpos: np.ndarray | None = None,
-                threads: int = 1, ordered: bool = True):
+                threads: int = 1, ordered: bool = False):
     """Node-iterator core (forward / compact-forward, Schank & Wagner):
     for every vertex, test adjacency between pairs of its forward
     neighbors, given as the rows ``first, fdeg`` into ``fidx`` of g or of
@@ -229,17 +229,15 @@ def _scan_steps(g: Graph, first: np.ndarray, fdeg: np.ndarray, fidx: np.ndarray,
     count; the wedges in flight stay within ``WEDGE_CHUNK``.
 
     Yields (count, positions) per pack, in scan order. Given ``fpos``,
-    each forward entry's canonical position, positions holds per
-    triangle the ``fpos`` of its two forward entries and its probed
-    edge's position, or is None where the pack found no triangle; else
-    it is always None. The triangles come in scan order, a row's
-    together, unless ``ordered`` is False: then each step's come pair by
-    pair, which saves transposing its probes.
+    each forward entry's canonical position, and no ``alive``, positions
+    holds per triangle the ``fpos`` of its two forward entries and its
+    probed edge's position, or is None where the pack found no triangle;
+    else it is always None. Each step's triangles come pair by pair,
+    which saves transposing its probes, unless ``ordered``: then they
+    come in scan order, a row's together.
     """
     check_threads(threads)
     n, index = g.n, g.index
-    # counts need no order
-    ordered = ordered and fpos is not None
 
     def probe_pack(pack):
         # the wedges of each step of the pack follow the last step's
@@ -265,9 +263,6 @@ def _scan_steps(g: Graph, first: np.ndarray, fdeg: np.ndarray, fidx: np.ndarray,
         idx, loc = lookup(probe, index)
         if fpos is None:
             return idx.size if alive is None else int(np.count_nonzero(alive[loc])), None
-        if alive is not None:
-            keep = alive[loc]
-            idx, loc = idx[keep], loc[keep]
         if not idx.size:
             return 0, None
         firsts, seconds = [], []
@@ -292,33 +287,12 @@ def _scan_steps(g: Graph, first: np.ndarray, fdeg: np.ndarray, fidx: np.ndarray,
     return _in_order(probe_pack, _packs(_steps(first, fdeg, budget), budget), threads)
 
 
-def _scan(g: Graph, first: np.ndarray, fdeg: np.ndarray, fidx: np.ndarray,
-          alive: np.ndarray | None = None, fpos: np.ndarray | None = None,
-          threads: int = 1):
-    """The ``_scan_steps`` totals: (t, positions), where positions
-    concatenates every pack's three arrays given ``fpos``, else is None."""
-    t = 0
-    # a leading empty array keeps each concatenation int64 when t = 0
-    empty = np.empty(0, dtype=np.int64)
-    positions = ([empty], [empty], [empty])
-    for count, pieces in _scan_steps(g, first, fdeg, fidx, alive, fpos, threads):
-        t += count
-        if pieces is not None:
-            for out, piece in zip(positions, pieces):
-                # a worker allocates from its own glibc arena, which cannot
-                # reuse what the load freed in the main heap; a copy made
-                # here can, and lets the worker's piece go at once
-                out.append(piece if threads == 1 else piece.copy())
-    if fpos is None:
-        return t, None
-    return t, tuple(np.concatenate(out) for out in positions)
-
-
 def count_forward(g: Graph, first: np.ndarray, fdeg: np.ndarray, fidx: np.ndarray,
-                  alive: np.ndarray) -> int:
+                  alive: np.ndarray | None = None) -> int:
     """Triangle count of the sample of g whose canonical edges are those
-    where ``alive`` holds, given its forward rows from ``forward_sample``."""
-    return _scan(g, first, fdeg, fidx, alive)[0]
+    where ``alive`` holds, all of them where it is None, given its
+    forward rows from ``forward_sample``."""
+    return sum(count for count, _ in _scan_steps(g, first, fdeg, fidx, alive))
 
 
 def triangle_edge_positions(g: Graph, threads: int = 1
@@ -329,7 +303,19 @@ def triangle_edge_positions(g: Graph, threads: int = 1
     weighted and unweighted graphs (weights are ignored; only the
     topology matters). The scan runs on ``threads`` workers; the arrays
     do not depend on it."""
-    return _scan(g, *_forward_rows(g), g.fidx, fpos=g.fpos, threads=threads)
+    t = 0
+    # a leading empty array keeps each concatenation int64 when t = 0
+    empty = np.empty(0, dtype=np.int64)
+    positions = ([empty], [empty], [empty])
+    for count, pieces in _scan_steps(g, *_forward_rows(g), g.fidx, fpos=g.fpos,
+                                     threads=threads, ordered=True):
+        t += count
+        for out, piece in zip(positions, pieces or ()):
+            # a worker allocates from its own glibc arena, which cannot
+            # reuse what the load freed in the main heap; a copy made
+            # here can, and lets the worker's piece go at once
+            out.append(piece if threads == 1 else piece.copy())
+    return t, tuple(np.concatenate(out) for out in positions)
 
 
 def connected_triples(g: Graph) -> int:
@@ -338,21 +324,6 @@ def connected_triples(g: Graph) -> int:
     deg = np.flatnonzero(count)
     # tolist() gives Python ints, keeping the sum exact on huge graphs
     return sum(c * (d * (d - 1) // 2) for d, c in zip(deg.tolist(), count[deg].tolist()))
-
-
-def _delta_array(g: Graph, threads: int) -> tuple[int, np.ndarray]:
-    """t and each canonical edge's triangle count. Each step's three
-    position arrays are added in as they arrive, in whatever order, so
-    no more than one step's are held at once."""
-    t = 0
-    delta = np.zeros(g.m, dtype=np.int64)
-    steps = _scan_steps(g, *_forward_rows(g), g.fidx, fpos=g.fpos, threads=threads,
-                        ordered=False)
-    for count, pieces in steps:
-        t += count
-        for piece in pieces or ():
-            np.add.at(delta, piece, 1)
-    return t, delta
 
 
 def _stats_from_delta(g: Graph, t: int, delta: np.ndarray, edge_deltas: bool) -> TriangleStats:
@@ -380,7 +351,15 @@ def count_node_iterator(g: Graph, *, edge_deltas: bool = False,
     does not depend on the thread count.
     """
     _require_unweighted(g, "count_node_iterator")
-    t, delta = _delta_array(g, threads)
+    t = 0
+    delta = np.zeros(g.m, dtype=np.int64)
+    # each step's three position arrays are added in as they arrive, in
+    # whatever order, so no more than one step's are held at once
+    for count, pieces in _scan_steps(g, *_forward_rows(g), g.fidx, fpos=g.fpos,
+                                     threads=threads):
+        t += count
+        for piece in pieces or ():
+            np.add.at(delta, piece, 1)
     return _stats_from_delta(g, t, delta, edge_deltas)
 
 
@@ -389,16 +368,14 @@ def _bitmap_rows(g: Graph, dense: np.ndarray, words: int) -> tuple[np.ndarray, n
     (#dense, words) uint64 array has bit c & 63 of word c >> 6 set for
     every neighbor c of x."""
     rank = np.cumsum(dense) - 1
-    rows = np.zeros((np.count_nonzero(dense), words), dtype=np.uint64)
-    flat = rows.reshape(-1)
+    rows = np.zeros((np.count_nonzero(dense), words), dtype="<u8")
     # WEDGE_CHUNK edges at a time, so the temporaries stay bounded
     for a in range(0, g.m, WEDGE_CHUNK):
         u, v = np.divmod(g.edge_keys[a:a + WEDGE_CHUNK], g.n)
         for x, c in ((u, v), (v, u)):
             keep = dense[x]
             x, c = x[keep], c[keep]
-            np.bitwise_or.at(flat, rank[x] * words + (c >> 6),
-                             np.left_shift(np.uint64(1), (c & 63).astype(np.uint64)))
+            set_bits(rows.reshape(-1), rank[x] * (64 * words) + c)
     return rank, rows
 
 
@@ -512,7 +489,7 @@ def count_triangles(g: Graph) -> int:
     """Triangle count only, skipping per-edge bookkeeping. The fast path
     for estimators that need nothing but t."""
     _require_unweighted(g, "count_triangles")
-    return _scan(g, *_forward_rows(g), g.fidx)[0]
+    return count_forward(g, *_forward_rows(g), g.fidx)
 
 
 def triple_census(g: Graph, t: int | None = None) -> TripleCensus:

@@ -301,19 +301,24 @@ def slot_table(keys: np.ndarray, n: int) -> SlotScreen:
     return SlotScreen(keys, slots)
 
 
+def set_bits(words: np.ndarray, bits: np.ndarray) -> None:
+    """Set bit b & 63 of word b >> 6 of the little-endian uint64 ``words``
+    for each of the distinct ``bits`` b. Distinct bits make adding them
+    or-ing them, and numpy's add.at on bytes is twice as fast as its
+    bitwise_or.at."""
+    # intp byte positions keep add.at on its fast path
+    np.add.at(words.view(np.uint8), np.right_shift(bits, 3, dtype=np.intp),
+              np.left_shift(1, bits & 7).astype(np.uint8))
+
+
 def bit_table(keys: np.ndarray, n: int) -> BitTable:
     """The bit table and rank directory of the sorted distinct ``keys``
     in [0, n^2); fewer than 2^31 of them, so a rank fits int32."""
     words = np.zeros(-(-n * n // 64), dtype="<u8")
-    # distinct keys set distinct bits, so adding them is or-ing them, and
-    # numpy's add.at on bytes is twice as fast as its bitwise_or.at. A
-    # block of keys at a time: all at once, the temporaries set the peak
-    # memory of a count on gnp(10000,0.02), 11 MiB higher.
+    # a block of keys at a time: all at once, the temporaries set the peak
+    # memory of a count on gnp(10000,0.02), 11 MiB higher
     for a in range(0, keys.size, _TABLE_BUILD_CHUNK):
-        block = keys[a:a + _TABLE_BUILD_CHUNK]
-        # intp byte positions keep add.at on its fast path
-        np.add.at(words.view(np.uint8), np.right_shift(block, 3, dtype=np.intp),
-                  np.left_shift(1, block & 7).astype(np.uint8))
+        set_bits(words, keys[a:a + _TABLE_BUILD_CHUNK])
     # the counts summed in place: cumsum of the uint8 counts into int32
     # would cast them to a temporary as large as rank
     rank = np.zeros(words.size, dtype=np.int32)
@@ -414,7 +419,7 @@ def _vectorized_ids(data: bytes) -> np.ndarray | None:
             or returns and returns != data.count(b"\r\n")):
         return None
     body = data[start:]
-    tokens = _plain_pair_tokens(np.frombuffer(body, dtype=np.uint8))
+    tokens = _plain_pair_tokens(body)
     if tokens is None:
         return None
     if not tokens:
@@ -423,34 +428,21 @@ def _vectorized_ids(data: bytes) -> np.ndarray | None:
     return ids if ids.size == tokens else None
 
 
-def _plain_pair_tokens(buf: np.ndarray) -> int | None:
-    """The number of tokens in ``buf`` (bytes of ``_PLAIN_BYTES`` only), or
-    None unless every line is blank or holds two ids of at most 18 digits,
-    each '-' opening a token and followed by a digit. Checked a block of
-    whole lines of about ``_TOKEN_BLOCK`` bytes at a time, so that the
-    temporaries stay small."""
+def _plain_pair_tokens(body: bytes) -> int | None:
+    """The number of tokens in ``body`` (bytes of ``_PLAIN_BYTES`` only),
+    or None unless every line is blank or holds two ids of at most 18
+    digits, each '-' opening a token and followed by a digit. Checked a
+    block of whole lines of about ``_TOKEN_BLOCK`` bytes at a time, so
+    that the temporaries stay small."""
     tokens = start = 0
-    while start < buf.size:
-        end = _line_end(buf, start + _TOKEN_BLOCK)
-        count = _block_pair_tokens(buf[start:end])
+    while start < len(body):
+        end = body.find(b"\n", start + _TOKEN_BLOCK) + 1 or len(body)
+        count = _block_pair_tokens(np.frombuffer(body, np.uint8, count=end - start, offset=start))
         if count is None:
             return None
         tokens += count
         start = end
     return tokens
-
-
-def _line_end(buf: np.ndarray, at: int) -> int:
-    """The offset just past the first '\\n' in ``buf`` at or after ``at``,
-    or the size of buf if there is none."""
-    width = 256
-    while at < buf.size:
-        found = buf[at:at + width] == ord("\n")
-        if found.any():
-            return at + int(found.argmax()) + 1
-        at += width
-        width *= 2
-    return buf.size
 
 
 def _block_pair_tokens(block: np.ndarray) -> int | None:

@@ -240,10 +240,16 @@ def _assert_kernel_matches_references(g: Graph, core: Graph | None = None) -> No
     assert t == want_t == count_brute_force(g if core is None else core)
     for got, want in zip(pos, want_pos):
         np.testing.assert_array_equal(got, want)
-    assert count_triangles(g) == t
+    # every fold of the one node scan gives the same t, a trial's count
+    # with no mask and with every edge alive among them
+    rows = (*exact._forward_rows(g), g.fidx)
+    alive = np.ones(g.m, dtype=bool)
+    assert count_triangles(g) == exact.count_forward(g, *rows) == \
+        exact.count_forward(g, *rows, alive) == t
     node = count_node_iterator(g, edge_deltas=True)
     edge = count_edge_iterator(g, edge_deltas=True)
-    assert (node.t, node.delta_max) == (edge.t, edge.delta_max)
+    assert (node.t, node.delta_max) == (t, edge.delta_max)
+    assert edge.t == t
     assert node.delta_per_edge == edge.delta_per_edge
     # a float sum depends on its order, so equal totals need equal order
     w = np.random.default_rng(g.m).uniform(0.1, 10.0, g.m)
@@ -323,9 +329,10 @@ class TestScreenedKernel:
         monkeypatch.setattr(exact, "lookup", spy)
         for threads in (1, 2):
             sizes.clear()
-            np.testing.assert_equal(
-                exact._scan(g, *exact._forward_rows(g), g.fidx,
-                            fpos=g.fpos if collect else None, threads=threads), want)
+            got = triangle_edge_positions(g, threads) if collect else (sum(
+                count for count, _ in exact._scan_steps(
+                    g, *exact._forward_rows(g), g.fidx, threads=threads)), None)
+            np.testing.assert_equal(got, want)
             # every wedge probed once, as perfbench counts them, and no step
             # over the per-worker budget, not even one row's wedges, as for
             # complete(12)'s top rows at chunk 7
@@ -661,6 +668,30 @@ class TestVectorizedEdgeIterator:
         assert got[(0, 32)] == got[(96, 129)] == got[(127, 128)] == 6
         assert got[(5, 63)] == got[(5, 64)] == 1
         assert got[(0, 100)] == 0
+
+    @pytest.mark.parametrize("every", [False, True], ids=["dense", "every-vertex"])
+    @pytest.mark.parametrize("chunk", [7, None], ids=["chunk7", "default"])
+    @pytest.mark.parametrize("g", [
+        with_isolated(gnp(50, 0.3, 1), 5, 8), with_isolated(gnp(50, 0.3, 2), 5, 9),
+        with_isolated(gnp(50, 0.3, 3), 5, 10), with_isolated(gnp(100, 0.2, 4), 10, 20),
+    ], ids=["n63", "n64", "n65", "n130"])
+    def test_bitmap_rows_bit_by_bit(self, g, chunk, every, monkeypatch):
+        if chunk is not None:
+            monkeypatch.setattr(exact, "WEDGE_CHUNK", chunk)
+        words = -(-g.n // 64)
+        dense = np.ones(g.n, dtype=bool) if every else g.degrees >= words
+        assert 0 < np.count_nonzero(dense) and (g.degrees[dense] == 0).any() == every
+        nbrs = [set() for _ in range(g.n)]
+        for u, v in zip(g.edge_u.tolist(), g.edge_v.tolist()):
+            nbrs[u].add(v)
+            nbrs[v].add(u)
+        want = np.zeros((np.count_nonzero(dense), words), dtype=np.uint64)
+        for r, x in enumerate(np.flatnonzero(dense).tolist()):
+            for c in nbrs[x]:
+                want[r, c // 64] |= np.uint64(1 << (c % 64))
+        rank, rows = exact._bitmap_rows(g, dense, words)
+        np.testing.assert_array_equal(rank[dense], np.arange(want.shape[0]))
+        np.testing.assert_array_equal(rows, want)
 
     @pytest.mark.parametrize("g,paths", [
         (gnp(100, 0.5, 1), "dense"), (with_isolated(complete(20), 40, 100), "dense"),

@@ -239,8 +239,11 @@ class TestVectorizedLoader:
         (b"1\n2\n", None), (b"1 2 3\n", None), (b"1 2 3 4\n", None), (b"1 2\n3\n", None),
         (b"1" * 19 + b" 2\n", None), (b"-" + b"1" * 18 + b" 2\n", 2),
     ])
-    def test_shape_check(self, body, tokens):
-        assert graph_module._plain_pair_tokens(np.frombuffer(body, dtype=np.uint8)) == tokens
+    def test_shape_check(self, body, tokens, monkeypatch):
+        # whole lines a block at a time, down to one line a block
+        for block in (1, 3, graph_module._TOKEN_BLOCK):
+            monkeypatch.setattr(graph_module, "_TOKEN_BLOCK", block)
+            assert graph_module._plain_pair_tokens(body) == tokens
 
     def test_weighted_files_use_the_line_parser(self, tmp_path, monkeypatch):
         def refuse(data):
