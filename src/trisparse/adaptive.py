@@ -195,28 +195,6 @@ def run_trials(g: Graph, p: float, seed: int, batch_index: int, trials: int,
     return list(_in_order(lambda pr: estimate_triangles(g, pr), params, threads))
 
 
-def _run_batch(g: Graph, p: float, batch_index: int, trials: int,
-               threshold: float, seed: int, threads: int) -> Batch:
-    results = run_trials(g, p, seed, batch_index, trials, threads)
-    estimates = tuple(r.estimate for r in results)
-    spread = batch_spread(estimates)
-    if p >= 1.0:
-        # nothing is sampled away at p = 1: the estimates are exact, so the
-        # batch is trivially concentrated even if the graph is triangle-free
-        concentrated = True
-    else:
-        concentrated = (min(estimates) > 0 and spread is not None
-                        and spread <= threshold)
-    return Batch(
-        p=p,
-        estimates=estimates,
-        spread=spread,
-        concentrated=concentrated,
-        sparsify_time=sum(r.sparsify_time for r in results),
-        count_time=sum(r.count_time for r in results),
-    )
-
-
 def check_search(p0: float | None, trials_per_p: int, spread_threshold: float) -> None:
     """Reject the search settings ``doubling_search`` cannot run with; a
     p0 of None stands for the default rate."""
@@ -248,15 +226,21 @@ def doubling_search(g: Graph, p0: float | None = None,
     start = perf_counter()
     trace: list[Batch] = []
     p = p0
-    batch_index = 0
     while True:
-        batch = _run_batch(g, p, batch_index, trials_per_p, spread_threshold,
-                           seed, threads)
-        trace.append(batch)
-        if batch.concentrated or p >= 1.0:
+        results = run_trials(g, p, seed, len(trace), trials_per_p, threads)
+        estimates = tuple(r.estimate for r in results)
+        spread = batch_spread(estimates)
+        # nothing is sampled away at p = 1: the estimates are exact, so the
+        # batch is trivially concentrated even if the graph is triangle-free
+        concentrated = p >= 1.0 or (min(estimates) > 0 and spread is not None
+                                    and spread <= spread_threshold)
+        trace.append(Batch(p=p, estimates=estimates, spread=spread,
+                           concentrated=concentrated,
+                           sparsify_time=sum(r.sparsify_time for r in results),
+                           count_time=sum(r.count_time for r in results)))
+        if concentrated:
             break
         p = min(2.0 * p, 1.0)
-        batch_index += 1
     total_time = perf_counter() - start
 
     final = trace[-1]

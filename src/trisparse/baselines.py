@@ -22,12 +22,15 @@ class SampleBudget:
     r: int
 
 
-def _validate_budget_args(census: TripleCensus, epsilon: float, delta: float) -> None:
-    if not epsilon > 0:
+def check_budget_args(epsilon: float | None, delta: float | None,
+                      census: TripleCensus | None = None) -> None:
+    """Reject an epsilon, delta or census that no budget can be made
+    from; each may be None, for not given."""
+    if epsilon is not None and not epsilon > 0:
         raise ValueError(f"epsilon must be positive, got {epsilon}")
-    if not 0.0 < delta < 1.0:
+    if delta is not None and not 0.0 < delta < 1.0:
         raise ValueError(f"delta must lie in (0, 1), got {delta}")
-    if census.t3 < 1:
+    if census is not None and census.t3 < 1:
         raise ValueError("sampling budget undefined: the graph has no triangles (T3 = 0), "
                          "so triple sampling is unsuitable")
 
@@ -38,7 +41,7 @@ def naive_budget(census: TripleCensus, epsilon: float, delta: float) -> SampleBu
     The T0 term makes this explode on sparse graphs, where almost every
     triple is empty.
     """
-    _validate_budget_args(census, epsilon, delta)
+    check_budget_args(epsilon, delta, census)
     factor = 1.0 + (census.t0 + census.t1 + census.t2) / census.t3
     r = math.ceil(math.log(1.0 / delta) * factor / epsilon ** 2)
     return SampleBudget(epsilon=epsilon, delta=delta, r=max(int(r), 1))
@@ -50,7 +53,7 @@ def buriol_budget(census: TripleCensus, epsilon: float, delta: float) -> SampleB
     Drops the T0 term relative to naive triple sampling but still needs a
     triangle-dense graph to be practical.
     """
-    _validate_budget_args(census, epsilon, delta)
+    check_budget_args(epsilon, delta, census)
     factor = 3.0 + (census.t1 + 2 * census.t2) / census.t3
     r = math.ceil(math.log(1.0 / delta) * 2.0 * factor / epsilon ** 2)
     return SampleBudget(epsilon=epsilon, delta=delta, r=max(int(r), 1))

@@ -221,9 +221,12 @@ def cmd_baseline(args) -> int:
     if args.r is None and args.epsilon is None:
         print("error: provide --r or both --epsilon and --delta", file=sys.stderr)
         return 2
-    if args.r is None and (args.epsilon is None or args.delta is None):
+    if args.r is None and args.delta is None:
         print("error: --epsilon requires --delta", file=sys.stderr)
         return 2
+    if args.r is not None and args.r < 1:
+        raise ValueError(f"--r must be at least 1, got {args.r}")
+    bl.check_budget_args(args.epsilon, args.delta)
 
     g, info = _load(args)
     exact_t, exact_time = _timed(exact.count_triangles, g)
@@ -259,6 +262,9 @@ def cmd_baseline(args) -> int:
 
 def cmd_bench(args) -> int:
     ad.check_threads(args.threads)
+    bl.check_budget_args(args.epsilon, args.delta)
+    if args.baseline_r < 1:
+        raise ValueError(f"--baseline-r must be at least 1, got {args.baseline_r}")
     g, info = _load(args)
     node_stats, node_time = _timed(exact.count_node_iterator, g)
     exact_t = node_stats.t
@@ -286,11 +292,11 @@ def cmd_bench(args) -> int:
     budgets = {}
     for method, maker, sampler in (("naive", bl.naive_budget, bl.naive_sample),
                                    ("buriol", bl.buriol_budget, bl.buriol_sample)):
-        try:
+        if census.t3:
             budget = maker(census, args.epsilon, args.delta)
             budgets[method] = asdict(budget)
             r = min(budget.r, args.baseline_r)
-        except ValueError:
+        else:
             budgets[method] = None
             r = args.baseline_r
         try:

@@ -149,15 +149,17 @@ def _pairs(f: int) -> tuple[np.ndarray, np.ndarray]:
     return ii, jj
 
 
-def _steps(first, fdeg, budget: int):
-    """The node scan's steps, in scan order, over the forward rows that
-    start ``first`` into fidx and hold ``fdeg`` >= 2 entries, in forward
-    order. A step (f, ii, jj, starts) stands for the wedges (ii[k], jj[k])
-    of each row starting at ``starts``, all of f entries, at most
-    ``budget`` of them: a run of whole rows of one degree class, or a run
-    of one row's pairs where that row alone has more. A row's runs are
-    consecutive, so the scan's hits come in the same order whatever the
-    budget."""
+def _packs(first, fdeg, budget: int):
+    """The node scan's work over the forward rows that start ``first``
+    into fidx and hold ``fdeg`` >= 2 entries, in forward order: packs of
+    consecutive steps, at most ``budget`` wedges together, each probed in
+    one lookup. A step (f, ii, jj, starts) stands for the wedges
+    (ii[k], jj[k]) of each row starting at ``starts``, all of f entries:
+    a run of whole rows of one degree class, or a run of one row's pairs
+    where that row alone has more than ``budget``. A row's runs are
+    consecutive, so the hits come in scan order whatever the budget. A
+    graph of many small degree classes, a sparse sample's above all,
+    makes one lookup per pack, not one per class."""
     count = np.bincount(fdeg)
     ends = np.cumsum(count).tolist()
     classes = np.flatnonzero(count).tolist()
@@ -165,31 +167,20 @@ def _steps(first, fdeg, budget: int):
     # dtype sorts fastest
     by_class = first if len(classes) < 2 else first[
         np.argsort(fdeg.astype(np.min_scalar_type(count.size)), kind="stable")]
+    pack, size = [], 0
     for f in classes:
         ii, jj = _pairs(f) if f <= _CACHED_PAIRS else np.triu_indices(f, 1)
         cls = by_class[ends[f - 1]:ends[f]]
-        if ii.size <= budget:
-            rows = budget // ii.size
-            for start in range(0, cls.size, rows):
-                yield f, ii, jj, cls[start:start + rows]
-        else:
-            for row in range(cls.size):
-                for lo in range(0, ii.size, budget):
-                    yield f, ii[lo:lo + budget], jj[lo:lo + budget], cls[row:row + 1]
-
-
-def _packs(steps, budget: int):
-    """Runs of consecutive ``_steps`` whose wedges together are at most
-    ``budget``, so that a graph of many small degree classes, a sparse
-    sample's above all, makes one lookup per run and not one per class."""
-    pack, size = [], 0
-    for step in steps:
-        wedges = step[1].size * step[3].size
-        if pack and size + wedges > budget:
-            yield pack
-            pack, size = [], 0
-        pack.append(step)
-        size += wedges
+        rows = max(1, budget // ii.size)
+        for start in range(0, cls.size, rows):
+            starts = cls[start:start + rows]
+            for lo in range(0, ii.size, budget):
+                wedges = min(budget, ii.size - lo) * starts.size
+                if pack and size + wedges > budget:
+                    yield pack
+                    pack, size = [], 0
+                pack.append((f, ii[lo:lo + budget], jj[lo:lo + budget], starts))
+                size += wedges
     if pack:
         yield pack
 
@@ -223,7 +214,7 @@ def _scan_steps(g: Graph, first: np.ndarray, fdeg: np.ndarray, fidx: np.ndarray,
     Each triangle is found exactly once, at its lowest-ranked vertex. A
     probe is a ``lookup`` in g's ``index``, which also gives the probed
     edge's canonical position, and a hit counts only if that edge is
-    alive. The ``_steps`` are probed in ``_packs``, one lookup each. With
+    alive. Each of the ``_packs`` is probed in one lookup. With
     ``threads`` > 1 the packs run on a pool of that many workers and are
     collected in scan order, so the result does not depend on the thread
     count; the wedges in flight stay within ``WEDGE_CHUNK``.
@@ -284,7 +275,7 @@ def _scan_steps(g: Graph, first: np.ndarray, fdeg: np.ndarray, fidx: np.ndarray,
                           np.concatenate(seconds, dtype=np.intp), loc)
 
     budget = max(1, WEDGE_CHUNK // threads)
-    return _in_order(probe_pack, _packs(_steps(first, fdeg, budget), budget), threads)
+    return _in_order(probe_pack, _packs(first, fdeg, budget), threads)
 
 
 def count_forward(g: Graph, first: np.ndarray, fdeg: np.ndarray, fidx: np.ndarray,

@@ -62,22 +62,13 @@ def survival_mask(m: int, params: SparsifyParams) -> np.ndarray:
 
 def sparsify(g: Graph, params: SparsifyParams) -> Graph:
     """Keep each edge independently with probability p; the vertex set is
-    unchanged. The uniform 1/p reweighting is implicit: the output stays
-    unweighted and the estimator applies the 1/p^3 factor once. A trial
-    counts these edges without building the graph."""
-    if g.is_weighted:
-        raise ValueError("sparsify() expects an unweighted graph; use weighted_sparsify()")
+    unchanged. The surviving edges of a weighted graph carry weight
+    old_weight / p. An unweighted graph stays unweighted: its 1/p
+    reweighting is implicit, and the estimator applies the 1/p^3 factor
+    once. A trial counts these edges without building the graph."""
     mask = survival_mask(g.m, params)
-    return Graph.build(g.n, g.edge_u[mask], g.edge_v[mask], labels=g.labels)
-
-
-def weighted_sparsify(g: Graph, params: SparsifyParams) -> Graph:
-    """Weighted variant: surviving edges carry weight old_weight / p."""
-    if not g.is_weighted:
-        raise ValueError("weighted_sparsify() expects a weighted graph")
-    mask = survival_mask(g.m, params)
-    return Graph.build(g.n, g.edge_u[mask], g.edge_v[mask],
-                       weights=g.weights[mask] / params.p, labels=g.labels)
+    weights = g.weights[mask] / params.p if g.is_weighted else None
+    return Graph.build(g.n, g.edge_u[mask], g.edge_v[mask], weights=weights, labels=g.labels)
 
 
 def estimate_triangles(g: Graph, params: SparsifyParams) -> Estimate:
@@ -124,7 +115,7 @@ def estimate_weighted_triangles(g: Graph, params: SparsifyParams) -> WeightedEst
     w1*w2*w3 / p^3, so the estimate is unbiased for the weighted total.
     """
     start = perf_counter()
-    sample = weighted_sparsify(g, params)
+    sample = sparsify(g, params)
     sparsify_time = perf_counter() - start
     start = perf_counter()
     value = count_weighted_triangles(sample)

@@ -269,6 +269,12 @@ class TestBaseline:
         path = _gen(tmp_path, "complete:4")
         assert main(["baseline", str(path), "--method", "naive"]) == 2
 
+    def test_epsilon_requires_delta(self, tmp_path, capsys):
+        path = _gen(tmp_path, "complete:4")
+        capsys.readouterr()
+        assert main(["baseline", str(path), "--method", "naive", "--epsilon", "0.1"]) == 2
+        assert capsys.readouterr().err == "error: --epsilon requires --delta\n"
+
 
 class TestBench:
     def test_full_run(self, tmp_path, capsys):
@@ -287,6 +293,29 @@ class TestBench:
         assert edge["estimate"] == exact["estimate"]
         out = capsys.readouterr().out
         assert "exact_node" in out and "doulion" in out
+
+    def _baselines(self, tmp_path, edges):
+        path = tmp_path / "g.txt"
+        path.write_text("".join(f"{u} {v}\n" for u, v in edges))
+        report = tmp_path / "r.json"
+        assert main(["bench", str(path), "--threads", "1", "--baseline-r", "300",
+                     "--json", str(report)]) == 0
+        payload = _read_report(report)
+        return payload["summary"]["budgets"], {
+            r["method"]: r["parameters"]["r"] for r in payload["records"]
+            if r["method"] in ("naive", "buriol")}
+
+    def test_triangle_free_graph_runs_baselines_at_the_cap(self, tmp_path):
+        # a star has no triangles, so no budget: both baselines run at --baseline-r
+        budgets, runs = self._baselines(tmp_path, [(0, leaf) for leaf in range(1, 6)])
+        assert budgets == {"naive": None, "buriol": None}
+        assert runs == {"naive": 300, "buriol": 300}
+
+    def test_two_vertices_run_no_baseline(self, tmp_path):
+        # neither sampler can draw a triple from two vertices
+        budgets, runs = self._baselines(tmp_path, [(0, 1)])
+        assert budgets == {"naive": None, "buriol": None}
+        assert runs == {}
 
 
 def _without_timings(payload):
@@ -485,8 +514,18 @@ class TestArgumentErrors:
         (["adaptive", "--threads", "0"], "thread count must be at least 1, got 0"),
         (["bench", "--threads", "-1"], "thread count must be at least 1, got -1"),
         (["count", "--threads", "0"], "thread count must be at least 1, got 0"),
+        (["bench", "--epsilon", "-1", "--delta", "5"], "epsilon must be positive, got -1.0"),
+        (["bench", "--delta", "5"], "delta must lie in (0, 1), got 5.0"),
+        (["bench", "--baseline-r", "0"], "--baseline-r must be at least 1, got 0"),
+        (["baseline", "--method", "naive", "--r", "100", "--epsilon", "-1"],
+         "epsilon must be positive, got -1.0"),
+        (["baseline", "--method", "buriol", "--epsilon", "0.1", "--delta", "1"],
+         "delta must lie in (0, 1), got 1.0"),
+        (["baseline", "--method", "naive", "--r", "0"], "--r must be at least 1, got 0"),
     ], ids=["estimate-p", "estimate-runs", "estimate-threads", "adaptive-p0", "adaptive-runs",
-            "adaptive-threshold", "adaptive-threads", "bench-threads", "count-threads"])
+            "adaptive-threshold", "adaptive-threads", "bench-threads", "count-threads",
+            "bench-epsilon", "bench-delta", "bench-baseline-r", "baseline-epsilon",
+            "baseline-delta", "baseline-r"])
     def test_bad_arguments_fail_before_loading(self, monkeypatch, capsys, argv, message):
         def no_load(*args, **kwargs):
             raise AssertionError("the graph was loaded")

@@ -338,14 +338,18 @@ class TestScreenedKernel:
             # complete(12)'s top rows at chunk 7
             assert sum(sizes) == BENCH_LAYERS.forward_wedges(g)
             assert max(sizes) <= max(1, exact.WEDGE_CHUNK // threads)
+            if chunk is None:
+                # a few hundred wedges at most: every degree class shares
+                # the one lookup
+                assert len(sizes) == 1
 
     def test_hub_row_is_split(self, monkeypatch):
         # complete(12)'s top row has C(11, 2) = 55 wedges: at chunk 7 it
         # takes eight steps, seven of 7 wedges and one of 6
         g = complete(12)
         monkeypatch.setattr(exact, "WEDGE_CHUNK", 7)
-        steps = [(f, ii.size, starts.size)
-                 for f, ii, _, starts in exact._steps(*exact._forward_rows(g), 7)]
+        steps = [(f, ii.size, starts.size) for pack in exact._packs(*exact._forward_rows(g), 7)
+                 for f, ii, _, starts in pack]
         assert steps.count((11, 7, 1)) == 7 and steps.count((11, 6, 1)) == 1
         np.testing.assert_equal(triangle_edge_positions(g), searchsorted_node_scan(g))
 

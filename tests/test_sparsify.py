@@ -32,7 +32,6 @@ from trisparse import (
     survival_mask,
     trial_seed,
     weighted_book,
-    weighted_sparsify,
 )
 from trisparse.adaptive import run_trials
 
@@ -111,10 +110,6 @@ class TestSparsify:
             got = survival_mask(m, SparsifyParams(p=1.0, seed=seed))
             assert got.dtype == bool
             np.testing.assert_array_equal(got, mask)
-
-    def test_rejects_weighted(self):
-        with pytest.raises(ValueError):
-            sparsify(weighted_book(3, 2.0), SparsifyParams(p=0.5))
 
 
 class TestEstimate:
@@ -385,27 +380,29 @@ class TestExhaustiveUnbiasedness:
 class TestWeighted:
     def test_p_one_keeps_weights(self):
         g = weighted_book(4, 50.0)
-        gp = weighted_sparsify(g, SparsifyParams(p=1.0, seed=0))
+        gp = sparsify(g, SparsifyParams(p=1.0, seed=0))
         assert np.array_equal(gp.weights, g.weights)
 
     def test_reweighting(self):
         g = Graph.build(2, [0], [1], weights=[50.0])
-        gp = weighted_sparsify(g, SparsifyParams(p=0.25, seed=1))
+        gp = sparsify(g, SparsifyParams(p=0.25, seed=1))
         if gp.m:  # the one edge survived under this seed
             assert edge_weight(gp, 0, 1) == 200.0
 
     def test_reweighting_definite(self):
         g = Graph.build(2, [0], [1], weights=[50.0])
         for seed in range(50):
-            gp = weighted_sparsify(g, SparsifyParams(p=0.25, seed=seed))
+            gp = sparsify(g, SparsifyParams(p=0.25, seed=seed))
             if gp.m:
                 assert edge_weight(gp, 0, 1) == 200.0
                 return
         pytest.fail("edge never survived in 50 seeds at p=0.25")
 
-    def test_rejects_unweighted(self):
-        with pytest.raises(ValueError):
-            weighted_sparsify(book(3), SparsifyParams(p=0.5))
+    def test_unweighted_stays_unweighted(self):
+        g = book(3)
+        gp = sparsify(g, SparsifyParams(p=0.5, seed=3))
+        assert not gp.is_weighted
+        assert 0 < gp.m < g.m
 
     def test_unit_weight_total_equals_plain_count(self):
         g = gnp(20, 0.4, 2)
