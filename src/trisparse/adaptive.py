@@ -97,13 +97,13 @@ def recommendation_grid(n: int) -> list[float]:
 
 
 def recommend_p(n: int, t_hint: float | None = None, delta_hint: float | None = None,
-                *, gamma: float = DEFAULT_GAMMA, p_floor: float = DEFAULT_P_FLOOR) -> float:
+                *, gamma: float = DEFAULT_GAMMA) -> float:
     """Suggest a sampling rate.
 
     With both hints, returns the smallest grid rate whose condition check
     passes at the given gamma; if none passes, warns and falls back to 1.0
     (exact counting is the only safe choice). Without hints, returns
-    n^-1/2 clamped to [p_floor, 1].
+    ``default_p0(n)``.
     """
     if n < 1:
         raise ValueError(f"vertex count must be positive, got {n}")
@@ -113,7 +113,7 @@ def recommend_p(n: int, t_hint: float | None = None, delta_hint: float | None = 
         raise ValueError(f"delta hint must be positive when given, got {delta_hint}")
 
     if t_hint is None or delta_hint is None:
-        return default_p0(n, p_floor)
+        return default_p0(n)
     for p in recommendation_grid(max(n, 3)):
         if check_conditions(max(n, 3), t_hint, delta_hint, p, gamma).satisfied:
             return p
@@ -177,11 +177,12 @@ def trial_seed(master_seed: int, batch_index: int, trial_index: int) -> int:
     return int(ss.generate_state(1)[0])
 
 
-def default_p0(n: int, p_floor: float = DEFAULT_P_FLOOR) -> float:
-    """Starting rate for the doubling search: max(n^-1/2, p_floor)."""
+def default_p0(n: int) -> float:
+    """Starting rate for the doubling search: n^-1/2 clamped to
+    [DEFAULT_P_FLOOR, 1], and 1 for an empty graph."""
     if n < 1:
         return 1.0
-    return min(max(1.0 / math.sqrt(n), p_floor), 1.0)
+    return min(max(1.0 / math.sqrt(n), DEFAULT_P_FLOOR), 1.0)
 
 
 def run_trials(g: Graph, p: float, seed: int, batch_index: int, trials: int,

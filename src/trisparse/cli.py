@@ -20,11 +20,8 @@ from .graph import Graph, load_edge_list, stats, write_edge_list
 from .sparsify import SparsifyParams, count_weighted_triangles, survival_mask
 
 
-def _graph_info(graph_id: str, g: Graph, load_time: float | None = None) -> dict:
-    info = {"id": graph_id, "n": g.n, "m": g.m, "weighted": g.is_weighted}
-    if load_time is not None:
-        info["load_time"] = load_time
-    return info
+def _graph_info(graph_id: str, g: Graph) -> dict:
+    return {"id": graph_id, "n": g.n, "m": g.m, "weighted": g.is_weighted}
 
 
 def _timed(fn, *args, **kwargs):
@@ -37,7 +34,7 @@ def _timed(fn, *args, **kwargs):
 def _load(args, weighted: bool = False) -> tuple[Graph, dict]:
     """The graph at ``args.graph`` and its report entry, load time included."""
     g, load_time = _timed(load_edge_list, args.graph, weighted)
-    return g, _graph_info(Path(args.graph).name, g, load_time)
+    return g, {**_graph_info(Path(args.graph).name, g), "load_time": load_time}
 
 
 def _record(info: dict, method: str, parameters: dict, estimate, exact_t,
@@ -55,10 +52,9 @@ def _record(info: dict, method: str, parameters: dict, estimate, exact_t,
         seed=seed)
 
 
-def _emit(args, graph_info: dict, records: list[bench.ExperimentRecord],
-          summary: dict) -> int:
+def _emit(args, graph_info: dict, records: list[bench.ExperimentRecord], summary: dict) -> int:
     """Write the command's JSON report if one was asked for; exit code 0."""
-    if getattr(args, "json", None):
+    if args.json:
         bench.write_json_report(args.json, bench.make_payload(
             args.command, graph_info, records, summary=summary))
         print(f"json report written to {args.json}")
@@ -66,28 +62,32 @@ def _emit(args, graph_info: dict, records: list[bench.ExperimentRecord],
 
 
 def _print_records(records: list[bench.ExperimentRecord], columns: list[str]) -> None:
-    headers = ["method"] + columns
-    rows = []
-    for r in records:
-        row = [r.method]
-        for c in columns:
-            if c in r.parameters:
-                row.append(r.parameters[c])
-            elif c in r.timings:
-                row.append(r.timings[c])
-            else:
-                row.append(getattr(r, c, None))
-        rows.append(row)
-    print(bench.format_table(headers, rows))
+    # each column's cell is a parameter, else a timing, else a field of the record
+    cells = [{**vars(r), **r.timings, **r.parameters} for r in records]
+    print(bench.format_table(["method", *columns],
+                             [[c["method"], *map(c.get, columns)] for c in cells]))
+
+
+def _print_row(**columns) -> None:
+    """A one-row table of ``columns``, in their order."""
+    print(bench.format_table(list(columns), [list(columns.values())]))
+
+
+def _baseline(args, g: Graph, info: dict, method: str, r: int, exact_t) -> bench.ExperimentRecord:
+    """The report record of baseline ``method`` run for r trials, timed.
+    The sampler is looked up by name at each call, so a patched
+    ``baselines`` attribute is the one that runs."""
+    estimate, sample_time = _timed(getattr(bl, f"{method}_sample"), g, r, seed=args.seed)
+    return _record(info, method, {"r": r, "epsilon": args.epsilon, "delta": args.delta},
+                   estimate, exact_t, 0.0, sample_time, seed=args.seed)
 
 
 def cmd_gen(args) -> int:
     g = generators.generate(args.model, args.seed)
     write_edge_list(args.output, g)
     st = stats(g)
-    print(bench.format_table(
-        ["model", "n", "m", "max_degree", "isolated", "weighted", "output"],
-        [[args.model, st.n, st.m, st.max_degree, st.isolated, g.is_weighted, str(args.output)]]))
+    _print_row(model=args.model, n=st.n, m=st.m, max_degree=st.max_degree, isolated=st.isolated,
+               weighted=g.is_weighted, output=str(args.output))
     return _emit(args, _graph_info(args.model, g), [],
                  {"stats": asdict(st), "seed": args.seed, "output": str(args.output)})
 
@@ -98,40 +98,31 @@ def cmd_count(args) -> int:
 
     if args.weighted:
         value, count_time = _timed(count_weighted_triangles, g, args.threads)
-        print(bench.format_table(
-            ["graph", "n", "m", "weighted_triangle_total", "convention", "count_time"],
-            [[info["id"], g.n, g.m, value, "product", count_time]]))
-        return _emit(args, info, [], {"weighted_triangle_total": value,
-                                      "convention": "product",
-                                      "count_time": count_time})
+        summary = {"weighted_triangle_total": value, "convention": "product",
+                   "count_time": count_time}
+        _print_row(graph=info["id"], n=g.n, m=g.m, **summary)
+        return _emit(args, info, [], summary)
 
     start = perf_counter()
     if args.algo == "brute":
         t = exact.count_brute_force(g)
-        delta_max = None
-        trans = exact.transitivity(g, t)
-        per_edge = None
+        ts = exact.TriangleStats(t=t, delta_max=None, transitivity=exact.transitivity(g, t))
+    elif args.algo == "node":
+        ts = exact.count_node_iterator(g, edge_deltas=args.delta, threads=args.threads)
     else:
-        if args.algo == "node":
-            ts = exact.count_node_iterator(g, edge_deltas=args.delta, threads=args.threads)
-        else:
-            ts = exact.count_edge_iterator(g, edge_deltas=args.delta)
-        t, delta_max, trans, per_edge = ts.t, ts.delta_max, ts.transitivity, ts.delta_per_edge
+        ts = exact.count_edge_iterator(g, edge_deltas=args.delta)
     count_time = perf_counter() - start
 
-    summary = {"t": t, "algo": args.algo, "transitivity": trans,
-               "delta_max": delta_max, "count_time": count_time,
-               "load_time": info["load_time"]}
-    headers = ["graph", "n", "m", "algo", "t", "transitivity", "delta_max", "count_time"]
-    row = [info["id"], g.n, g.m, args.algo, t, trans, delta_max, count_time]
+    summary = {"algo": args.algo, "t": ts.t, "transitivity": ts.transitivity,
+               "delta_max": ts.delta_max, "count_time": count_time}
+    columns = {"graph": info["id"], "n": g.n, "m": g.m, **summary}
+    summary["load_time"] = info["load_time"]
     if args.census:
-        census = exact.triple_census(g, t=t)
-        summary["census"] = asdict(census)
-        headers += ["t0", "t1", "t2", "t3"]
-        row += [census.t0, census.t1, census.t2, census.t3]
-    if per_edge is not None:
-        summary["delta_per_edge"] = {f"{u}-{v}": d for (u, v), d in per_edge.items()}
-    print(bench.format_table(headers, [row]))
+        summary["census"] = asdict(exact.triple_census(g, t=ts.t))
+        columns.update(summary["census"])
+    if ts.delta_per_edge is not None:
+        summary["delta_per_edge"] = {f"{u}-{v}": d for (u, v), d in ts.delta_per_edge.items()}
+    _print_row(**columns)
     return _emit(args, info, [], summary)
 
 
@@ -172,10 +163,9 @@ def cmd_estimate(args) -> int:
         "speedups": asdict(speedups),
     }
     _print_records(records, ["p", "estimate", "ratio", "t_prime", "sparsify", "count"])
-    print(bench.format_table(
-        ["exact_t", "mean_estimate", "mean_ratio", "spread", "xfaster1", "expected_speedup"],
-        [[exact_t, mean_est, summary["mean_ratio"], summary["spread"],
-          speedups.xfaster1, summary["expected_speedup"]]]))
+    _print_row(exact_t=exact_t, mean_estimate=mean_est, mean_ratio=summary["mean_ratio"],
+               spread=summary["spread"], xfaster1=speedups.xfaster1,
+               expected_speedup=summary["expected_speedup"])
     return _emit(args, info, records, summary)
 
 
@@ -208,12 +198,10 @@ def cmd_adaptive(args) -> int:
                "expected_speedup": bench.expected_speedup(report.p_star)}
     if exact_time is not None:
         summary["speedups"] = asdict(bench.SpeedupSummary.of_search(exact_time, report))
-    print(bench.format_table(
-        ["p_star", "final_estimate", "ratio", "total_trials", "total_time", "xfaster1", "xfaster2"],
-        [[report.p_star, report.final_estimate, record.ratio, report.total_trials,
-          report.total_time,
-          summary.get("speedups", {}).get("xfaster1"),
-          summary.get("speedups", {}).get("xfaster2")]]))
+    speedups = summary.get("speedups", {})
+    _print_row(p_star=report.p_star, final_estimate=report.final_estimate, ratio=record.ratio,
+               total_trials=report.total_trials, total_time=report.total_time,
+               xfaster1=speedups.get("xfaster1"), xfaster2=speedups.get("xfaster2"))
     return _emit(args, info, [record], summary)
 
 
@@ -235,23 +223,18 @@ def cmd_baseline(args) -> int:
     budget = None
     r = args.r
     if r is None:
-        maker = bl.naive_budget if args.method == "naive" else bl.buriol_budget
-        budget = maker(census, args.epsilon, args.delta)
+        budget = getattr(bl, f"{args.method}_budget")(census, args.epsilon, args.delta)
         r = budget.r
         if r > args.max_r:
-            print(bench.format_table(
-                ["method", "epsilon", "delta", "required_r", "max_r", "ran"],
-                [[args.method, args.epsilon, args.delta, r, args.max_r, False]]))
+            _print_row(method=args.method, epsilon=args.epsilon, delta=args.delta,
+                       required_r=r, max_r=args.max_r, ran=False)
             print(f"required sample size {r} exceeds --max-r {args.max_r}; not running "
                   "(the budget itself is the finding: triple sampling is impractical here)")
             return _emit(args, info, [],
                          {"method": args.method, "budget": asdict(budget),
                           "census": asdict(census), "exact_t": exact_t, "ran": False})
 
-    sampler = bl.naive_sample if args.method == "naive" else bl.buriol_sample
-    estimate, sample_time = _timed(sampler, g, r, seed=args.seed)
-    record = _record(info, args.method, {"r": r, "epsilon": args.epsilon, "delta": args.delta},
-                     estimate, exact_t, 0.0, sample_time, seed=args.seed)
+    record = _baseline(args, g, info, args.method, r, exact_t)
     summary = {"method": args.method, "r": r, "exact_t": exact_t,
                "exact_time": exact_time, "census": asdict(census), "ran": True}
     if budget is not None:
@@ -290,22 +273,17 @@ def cmd_bench(args) -> int:
 
     census = exact.triple_census(g, t=exact_t)
     budgets = {}
-    for method, maker, sampler in (("naive", bl.naive_budget, bl.naive_sample),
-                                   ("buriol", bl.buriol_budget, bl.buriol_sample)):
+    for method in ("naive", "buriol"):
+        r = args.baseline_r
+        budgets[method] = None
         if census.t3:
-            budget = maker(census, args.epsilon, args.delta)
+            budget = getattr(bl, f"{method}_budget")(census, args.epsilon, args.delta)
             budgets[method] = asdict(budget)
-            r = min(budget.r, args.baseline_r)
-        else:
-            budgets[method] = None
-            r = args.baseline_r
+            r = min(budget.r, r)
         try:
-            estimate, sample_time = _timed(sampler, g, r, seed=args.seed)
-        except ValueError:
-            continue
-        records.append(_record(info, method,
-                               {"r": r, "epsilon": args.epsilon, "delta": args.delta},
-                               estimate, exact_t, 0.0, sample_time, seed=args.seed))
+            records.append(_baseline(args, g, info, method, r, exact_t))
+        except ValueError:  # the sampler cannot draw from g
+            pass
 
     speedups = bench.SpeedupSummary.of_search(node_time, report)
     summary = {
@@ -317,9 +295,8 @@ def cmd_bench(args) -> int:
         "census": asdict(census),
     }
     _print_records(records, ["estimate", "ratio", "sparsify", "count", "total"])
-    print(bench.format_table(
-        ["p_star", "expected_speedup", "xfaster1", "xfaster2"],
-        [[report.p_star, summary["expected_speedup"], speedups.xfaster1, speedups.xfaster2]]))
+    _print_row(p_star=report.p_star, expected_speedup=summary["expected_speedup"],
+               xfaster1=speedups.xfaster1, xfaster2=speedups.xfaster2)
     return _emit(args, info, records, summary)
 
 
@@ -329,75 +306,67 @@ def build_parser() -> argparse.ArgumentParser:
         description="Triangle counting: exact, sparsified estimation, adaptive rate search, "
                     "and sampling baselines.")
     sub = parser.add_subparsers(dest="command", required=True)
+    # parents that declare each shared option once, for every subcommand taking it
+    graph, seed, threads, json_ = (argparse.ArgumentParser(add_help=False) for _ in range(4))
+    graph.add_argument("graph", help="edge-list file")
+    seed.add_argument("--seed", type=int, default=0)
+    threads.add_argument("--threads", type=int, default=os.cpu_count() or 1,
+                         help="worker threads (default: the number of cores); results do not "
+                              "depend on them")
+    json_.add_argument("--json", default=None, help="also write a JSON report here")
 
-    p = sub.add_parser("gen", help="generate a synthetic graph and write it as an edge list")
+    p = sub.add_parser("gen", parents=[seed, json_],
+                       help="generate a synthetic graph and write it as an edge list")
     p.add_argument("model", help="model spec, e.g. book:1000, gnp:2000:0.05, "
                                  "weighted_book:1000:50, complete:4")
     p.add_argument("-o", "--output", required=True, help="edge-list output path")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--json", default=None, help="also write a JSON report here")
     p.set_defaults(func=cmd_gen)
 
-    p = sub.add_parser("count", help="count triangles exactly")
-    p.add_argument("graph", help="edge-list file")
+    p = sub.add_parser("count", parents=[graph, threads, json_], help="count triangles exactly")
     p.add_argument("--algo", choices=("node", "edge", "brute"), default="node")
     p.add_argument("--census", action="store_true", help="include the triple census")
     p.add_argument("--delta", action="store_true", help="include per-edge triangle counts")
     p.add_argument("--weighted", action="store_true",
                    help="load edge weights and report the weighted triangle total")
-    p.add_argument("--threads", type=int, default=os.cpu_count() or 1,
-                   help="workers for the node scan of --algo node and --weighted")
-    p.add_argument("--json", default=None)
     p.set_defaults(func=cmd_count)
 
-    p = sub.add_parser("estimate", help="sparsify-and-count estimates at a fixed rate")
-    p.add_argument("graph")
+    p = sub.add_parser("estimate", parents=[graph, threads, json_],
+                       help="sparsify-and-count estimates at a fixed rate")
     p.add_argument("--p", type=float, required=True, help="retention probability in (0, 1]")
     p.add_argument("--seed", type=int, required=True, help="master seed")
     p.add_argument("--runs", type=int, default=1)
-    p.add_argument("--threads", type=int, default=os.cpu_count() or 1)
     p.add_argument("--save-sparsified", default=None,
                    help="write the first run's sparsified graph to this edge-list path")
-    p.add_argument("--json", default=None)
     p.set_defaults(func=cmd_estimate)
 
-    p = sub.add_parser("adaptive", help="doubling search for the smallest reliable rate")
-    p.add_argument("graph")
+    p = sub.add_parser("adaptive", parents=[graph, seed, threads, json_],
+                       help="doubling search for the smallest reliable rate")
     p.add_argument("--p0", type=float, default=None,
                    help="starting rate (default max(n^-1/2, 0.001))")
     p.add_argument("--runs", type=int, default=ad.DEFAULT_TRIALS_PER_P,
                    help="trials per rate")
     p.add_argument("--threshold", type=float, default=ad.DEFAULT_SPREAD_THRESHOLD,
                    help="relative-range concentration threshold")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--threads", type=int, default=os.cpu_count() or 1)
     p.add_argument("--skip-exact", action="store_true",
                    help="skip the exact count (no accuracy ratio in the report)")
-    p.add_argument("--json", default=None)
     p.set_defaults(func=cmd_adaptive)
 
-    p = sub.add_parser("baseline", help="run a sampling baseline")
-    p.add_argument("graph")
+    p = sub.add_parser("baseline", parents=[graph, seed, json_], help="run a sampling baseline")
     p.add_argument("--method", choices=("naive", "buriol"), required=True)
     p.add_argument("--r", type=int, default=None, help="number of trials")
     p.add_argument("--epsilon", type=float, default=None,
                    help="relative error target (derives r from the census)")
     p.add_argument("--delta", type=float, default=None, help="failure probability")
-    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--max-r", type=int, default=1_000_000,
                    help="refuse to run derived budgets above this size")
-    p.add_argument("--json", default=None)
     p.set_defaults(func=cmd_baseline)
 
-    p = sub.add_parser("bench", help="full comparison: exact counters, adaptive search, baselines")
-    p.add_argument("graph")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--threads", type=int, default=os.cpu_count() or 1)
+    p = sub.add_parser("bench", parents=[graph, seed, threads, json_],
+                       help="full comparison: exact counters, adaptive search, baselines")
     p.add_argument("--epsilon", type=float, default=0.1)
     p.add_argument("--delta", type=float, default=0.1)
     p.add_argument("--baseline-r", type=int, default=100_000,
                    help="cap on baseline sample sizes")
-    p.add_argument("--json", default=None)
     p.set_defaults(func=cmd_bench)
 
     return parser

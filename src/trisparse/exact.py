@@ -33,12 +33,12 @@ class TriangleStats:
     """Triangle totals for one graph.
 
     ``delta_max`` is the largest number of triangles sharing a single
-    edge; ``delta_per_edge`` maps canonical edges to their triangle count
-    and is only materialized on request.
+    edge, or None if not tracked; ``delta_per_edge`` maps canonical edges
+    to their triangle count and is only materialized on request.
     """
 
     t: int
-    delta_max: int
+    delta_max: int | None
     transitivity: float
     delta_per_edge: dict[tuple[int, int], int] | None = None
 
@@ -149,6 +149,26 @@ def _pairs(f: int) -> tuple[np.ndarray, np.ndarray]:
     return ii, jj
 
 
+def _pair_runs(f: int, budget: int):
+    """The pairs (ii, jj) of ``np.triu_indices(f, 1)`` in runs of at most
+    ``budget``; past ``_CACHED_PAIRS`` entries each run is made alone. Row
+    i holds the pairs below ends[i], the cumulative lengths f - 1, f - 2,
+    ..., and pair k of row i has j = k - ends[i] + f."""
+    size = f * (f - 1) // 2
+    if f <= _CACHED_PAIRS:
+        ii, jj = _pairs(f)
+        for lo in range(0, size, budget):
+            yield ii[lo:lo + budget], jj[lo:lo + budget]
+        return
+    ends = np.cumsum(np.arange(f - 1, 0, -1))
+    for lo in range(0, size, budget):
+        hi = min(lo + budget, size)
+        first, last = ends.searchsorted([lo, hi - 1], "right").tolist()
+        counts = np.diff(np.minimum(ends[first:last + 1], hi), prepend=lo)
+        ii = np.repeat(np.arange(first, last + 1), counts)
+        yield ii, np.arange(lo, hi) - ends[ii] + f
+
+
 def _packs(first, fdeg, budget: int):
     """The node scan's work over the forward rows that start ``first``
     into fidx and hold ``fdeg`` >= 2 entries, in forward order: packs of
@@ -169,17 +189,20 @@ def _packs(first, fdeg, budget: int):
         np.argsort(fdeg.astype(np.min_scalar_type(count.size)), kind="stable")]
     pack, size = [], 0
     for f in classes:
-        ii, jj = _pairs(f) if f <= _CACHED_PAIRS else np.triu_indices(f, 1)
+        pairs = f * (f - 1) // 2
+        # a class makes its runs once, unless its long rows have more than
+        # budget pairs: then each row makes them anew, one at a time
+        runs = list(_pair_runs(f, budget)) if f <= _CACHED_PAIRS or pairs <= budget else None
         cls = by_class[ends[f - 1]:ends[f]]
-        rows = max(1, budget // ii.size)
+        rows = max(1, budget // pairs)
         for start in range(0, cls.size, rows):
             starts = cls[start:start + rows]
-            for lo in range(0, ii.size, budget):
-                wedges = min(budget, ii.size - lo) * starts.size
+            for ii, jj in runs or _pair_runs(f, budget):
+                wedges = ii.size * starts.size
                 if pack and size + wedges > budget:
                     yield pack
                     pack, size = [], 0
-                pack.append((f, ii[lo:lo + budget], jj[lo:lo + budget], starts))
+                pack.append((f, ii, jj, starts))
                 size += wedges
     if pack:
         yield pack

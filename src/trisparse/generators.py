@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .graph import Graph
+from .graph import Graph, check_size
 
 # doubles drawn per rng.random call in gnp: 512 KiB stays in cache (blocks
 # of 2**22 doubles made gnp(10000, 0.02) 25% slower than one call per row)
@@ -16,6 +16,7 @@ def _book_edges(k: int) -> tuple[np.ndarray, np.ndarray]:
     and (1, s) for every spoke s."""
     if k <= 0:
         raise ValueError(f"book size must be positive, got {k}")
+    check_size(k + 2, 2 * k + 1)
     spokes = np.arange(2, k + 2, dtype=np.int64)
     eu = np.concatenate([[0], np.zeros(k, dtype=np.int64), np.ones(k, dtype=np.int64)])
     ev = np.concatenate([[1], spokes, spokes])
@@ -60,8 +61,10 @@ def gnp(n: int, q: float, seed: int = 0) -> Graph:
         raise ValueError(f"vertex count must be positive, got {n}")
     if not 0.0 <= q <= 1.0:
         raise ValueError(f"edge probability must lie in [0, 1], got {q}")
-    rng = np.random.default_rng(seed)
     pairs = n * (n - 1) // 2
+    # the expected edge count; a draw past the bound is refused by Graph.build
+    check_size(n, int(q * pairs))
+    rng = np.random.default_rng(seed)
     hits = [start + np.flatnonzero(rng.random(min(_GNP_BLOCK, pairs - start)) < q)
             for start in range(0, pairs, _GNP_BLOCK)]
     k = np.concatenate(hits) if hits else np.empty(0, dtype=np.int64)
@@ -76,8 +79,19 @@ def complete(n: int) -> Graph:
     """Complete graph K_n."""
     if n <= 0:
         raise ValueError(f"vertex count must be positive, got {n}")
+    check_size(n, n * (n - 1) // 2)
     iu, iv = np.triu_indices(n, 1)
     return Graph.build(n, iu.astype(np.int64), iv.astype(np.int64))
+
+
+# each model's constructor, given the seed and the spec's arguments, and
+# the types of those arguments
+_MODELS = {
+    "book": (lambda seed, k: book(k), (int,)),
+    "weighted_book": (lambda seed, k, w: weighted_book(k, w), (int, float)),
+    "gnp": (lambda seed, n, q: gnp(n, q, seed), (int, float)),
+    "complete": (lambda seed, n: complete(n), (int,)),
+}
 
 
 def generate(spec: str, seed: int = 0) -> Graph:
@@ -86,24 +100,11 @@ def generate(spec: str, seed: int = 0) -> Graph:
     Supported forms: "book:K", "weighted_book:K:W", "gnp:N:Q",
     "complete:N". Deterministic for a fixed (spec, seed).
     """
-    parts = spec.split(":")
-    name = parts[0].strip().lower()
-    args = parts[1:]
-
-    def _require(count: int) -> None:
-        if len(args) != count:
-            raise ValueError(f"model {name!r} expects {count} argument(s), got {len(args)}")
-
-    if name == "book":
-        _require(1)
-        return book(int(args[0]))
-    if name == "weighted_book":
-        _require(2)
-        return weighted_book(int(args[0]), float(args[1]))
-    if name == "gnp":
-        _require(2)
-        return gnp(int(args[0]), float(args[1]), seed)
-    if name == "complete":
-        _require(1)
-        return complete(int(args[0]))
-    raise ValueError(f"unknown graph model {name!r} (expected book, weighted_book, gnp or complete)")
+    name, *args = spec.split(":")
+    name = name.strip().lower()
+    if name not in _MODELS:
+        raise ValueError(f"unknown graph model {name!r} (expected book, weighted_book, gnp or complete)")
+    make, types = _MODELS[name]
+    if len(args) != len(types):
+        raise ValueError(f"model {name!r} expects {len(types)} argument(s), got {len(args)}")
+    return make(seed, *(kind(arg) for kind, arg in zip(types, args)))

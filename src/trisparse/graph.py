@@ -129,9 +129,7 @@ class Graph:
         if n < 0:
             raise ValueError(f"vertex count must be nonnegative, got {n}")
         eu, ev = np.asarray(edge_u), np.asarray(edge_v)
-        if n > _MAX_INT32 or max(eu.size, ev.size) > _MAX_INT32:
-            raise ValueError(f"graph too large for int32 vertex ids and positions: "
-                             f"n={n}, m={max(eu.size, ev.size)}")
+        check_size(n, max(eu.size, ev.size))
         if eu.size != ev.size:
             raise ValueError("edge endpoint arrays differ in length")
         eu, ev = _ids(eu), _ids(ev)
@@ -205,6 +203,13 @@ class Graph:
                 _read_only(arr)
         return Graph(n=n, fptr=fptr, fidx=fidx, fpos=fpos, degrees=degrees, edge_keys=uniq,
                      index=edge_index(uniq, n), weights=w, labels=lab)
+
+
+def check_size(n: int, pairs: int) -> None:
+    """Reject n vertices or ``pairs`` endpoint pairs past what int32 vertex
+    ids and positions hold, as ``Graph.build`` does."""
+    if n > _MAX_INT32 or pairs > _MAX_INT32:
+        raise ValueError(f"graph too large for int32 vertex ids and positions: n={n}, m={pairs}")
 
 
 def key_dtype(n: int) -> np.dtype:

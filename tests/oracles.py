@@ -21,6 +21,18 @@ import numpy as np
 from trisparse import Graph
 
 
+class Unreachable:
+    """Stands in for a module that a test must not reach: reading any of
+    its attributes fails the test, so a missing check fails at once
+    instead of allocating."""
+
+    def __init__(self, name: str):
+        self.name = name
+
+    def __getattr__(self, attr):
+        raise AssertionError(f"{self.name}.{attr} was reached")
+
+
 def adjacency_sets(g: Graph) -> list[set[int]]:
     adj: list[set[int]] = [set() for _ in range(g.n)]
     for u, v in zip(g.edge_u.tolist(), g.edge_v.tolist()):

@@ -147,6 +147,10 @@ class TestRecommendP:
     def test_hint_validation(self):
         with pytest.raises(ValueError):
             recommend_p(100, t_hint=-1.0, delta_hint=2.0)
+        with pytest.raises(ValueError, match="delta hint must be positive"):
+            recommend_p(100, t_hint=1.0, delta_hint=0.0)
+        with pytest.raises(ValueError, match="vertex count must be positive"):
+            recommend_p(0)
 
     def test_grid_shape(self):
         grid = recommendation_grid(400)
@@ -257,6 +261,7 @@ class TestDoublingSearch:
         assert default_p0(10**6) == pytest.approx(0.001)
         assert default_p0(4) == pytest.approx(0.5)
         assert default_p0(10**8) == pytest.approx(0.001)
+        assert default_p0(0) == 1.0
 
     def test_sequential_estimates_uncorrelated(self):
         # lag-1 autocorrelation of 200 estimates at a fixed rate should be

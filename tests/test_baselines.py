@@ -140,6 +140,8 @@ class TestBuriolSample:
     def test_needs_edges(self):
         with pytest.raises(ValueError):
             buriol_sample(Graph.build(5, [], []), 10)
+        with pytest.raises(ValueError, match="trial count must be positive"):
+            buriol_sample(complete(5), 0)
 
 
 class TestExhaustiveUnbiasedness:

@@ -7,11 +7,11 @@ from pathlib import Path
 
 import pytest
 
-from oracles import labelled_edges
+from oracles import Unreachable, labelled_edges
 import trisparse
 from trisparse import Graph, SparsifyParams, load_edge_list, sparsify, write_edge_list
 from trisparse.adaptive import trial_seed
-from trisparse import cli
+from trisparse import baselines, cli, generators
 from trisparse.cli import main
 
 
@@ -33,8 +33,19 @@ class TestGen:
         assert (g.n, g.m) == (4, 6)
         assert "complete:4" in capsys.readouterr().out
 
-    def test_unknown_model_fails(self, tmp_path):
+    def test_unknown_model_fails(self, tmp_path, capsys):
         assert main(["gen", "mystery:4", "-o", str(tmp_path / "x.txt")]) == 1
+        assert capsys.readouterr().err == ("error: unknown graph model 'mystery' "
+                                           "(expected book, weighted_book, gnp or complete)\n")
+
+    def test_oversize_model_fails_before_allocating(self, tmp_path, capsys, monkeypatch):
+        # C(70000, 2) pairs would take tens of GB; the stub fails the test
+        # if the generator reaches numpy before its size check
+        monkeypatch.setattr(generators, "np", Unreachable("numpy"))
+        assert main(["gen", "complete:70000", "-o", str(tmp_path / "x.txt")]) == 1
+        assert capsys.readouterr().err == ("error: graph too large for int32 vertex ids and "
+                                           "positions: n=70000, m=2449965000\n")
+        assert not (tmp_path / "x.txt").exists()
 
     def test_json_report(self, tmp_path):
         report = tmp_path / "gen.json"
@@ -268,6 +279,23 @@ class TestBaseline:
     def test_requires_r_or_epsilon(self, tmp_path):
         path = _gen(tmp_path, "complete:4")
         assert main(["baseline", str(path), "--method", "naive"]) == 2
+
+    @pytest.mark.parametrize("argv,want", [
+        (["baseline", "--method", "naive", "--r", "50"], ["naive_sample"]),
+        (["baseline", "--method", "buriol", "--r", "50"], ["buriol_sample"]),
+        (["bench", "--threads", "1", "--baseline-r", "50"], ["naive_sample", "buriol_sample"]),
+    ], ids=["naive", "buriol", "bench"])
+    def test_runs_the_samplers_patched_on_the_module(self, tmp_path, monkeypatch, argv, want):
+        # perfbench times the samplers by patching baselines' attributes
+        path = _gen(tmp_path, "complete:6")
+        called = []
+        for name in ("naive_sample", "buriol_sample"):
+            def spy(*args, _name=name, _real=getattr(baselines, name), **kwargs):
+                called.append(_name)
+                return _real(*args, **kwargs)
+            monkeypatch.setattr(baselines, name, spy)
+        assert main([argv[0], str(path), *argv[1:]]) == 0
+        assert called == want
 
     def test_epsilon_requires_delta(self, tmp_path, capsys):
         path = _gen(tmp_path, "complete:4")

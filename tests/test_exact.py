@@ -353,6 +353,33 @@ class TestScreenedKernel:
         assert steps.count((11, 7, 1)) == 7 and steps.count((11, 6, 1)) == 1
         np.testing.assert_equal(triangle_edge_positions(g), searchsorted_node_scan(g))
 
+    @pytest.mark.parametrize("chunk", [1, 7])
+    def test_long_rows_make_only_their_steps_pairs(self, chunk, monkeypatch):
+        # complete(100)'s rows of 65 to 99 entries each hold far more than
+        # chunk pairs: a step makes, and views, only its own, and a row's
+        # steps together give np.triu_indices in order
+        monkeypatch.setattr(exact, "WEDGE_CHUNK", chunk)
+        rows = {}
+        for pack in exact._packs(*exact._forward_rows(complete(100)), exact.WEDGE_CHUNK):
+            for f, ii, jj, starts in pack:
+                if f > exact._CACHED_PAIRS:
+                    for a in (ii, jj):
+                        assert a.size <= chunk and (a.base is None or a.base.size <= chunk)
+                    rows.setdefault(int(starts[0]), (f, []))[1].append((ii, jj))
+        assert sorted(f for f, _ in rows.values()) == list(range(exact._CACHED_PAIRS + 1, 100))
+        for f, runs in rows.values():
+            np.testing.assert_equal(np.concatenate(runs, axis=1), np.triu_indices(f, 1))
+
+    def test_long_rows_split_by_pair_range_keep_the_scan(self, monkeypatch):
+        # complete(70)'s rows of 65 to 69 entries take the pair-range runs
+        # at chunk 7, and the whole-row path at the default chunk
+        g = complete(70)
+        want = triangle_edge_positions(g)
+        monkeypatch.setattr(exact, "WEDGE_CHUNK", 7)
+        for threads in (1, 2):
+            np.testing.assert_equal(triangle_edge_positions(g, threads), want)
+        assert count_triangles(g) == want[0] == 70 * 69 * 68 // 6
+
     @pytest.mark.parametrize("threads", [2, 3, 4])
     @pytest.mark.parametrize("chunk", [8, 30])
     @pytest.mark.parametrize("g", [complete(12), gnp(40, 0.3, 7)], ids=["complete", "gnp"])

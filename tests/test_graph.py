@@ -7,8 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import (edge_pairs, edge_weight, forward_csr, gnp_by_rows, labelled_edges,
-                     load_perfbench, star, with_isolated)
+from oracles import (Unreachable, edge_pairs, edge_weight, forward_csr, gnp_by_rows,
+                     labelled_edges, load_perfbench, star, with_isolated)
 from trisparse import (
     EdgeListFormatError,
     Graph,
@@ -84,7 +84,7 @@ class TestLoadEdgeList:
         with pytest.raises(EdgeListFormatError):
             load_edge_list(_write(tmp_path, "0 1 0.0\n"), weighted=True)
 
-    @pytest.mark.parametrize("token", ["inf", "1e400", "nan"])
+    @pytest.mark.parametrize("token", ["inf", "1e400", "nan", "heavy"])
     def test_non_finite_weight_reports_line_number(self, tmp_path, token):
         with pytest.raises(EdgeListFormatError) as exc:
             load_edge_list(_write(tmp_path, f"0 1 2.0\n# c\n1 2 {token}\n"), weighted=True)
@@ -334,6 +334,15 @@ class TestGraphInvariants:
     def test_build_rejects_out_of_range_ids(self):
         with pytest.raises(ValueError):
             Graph.build(2, [0], [5])
+
+    @pytest.mark.parametrize("n,kwargs,message", [
+        (-1, {}, "vertex count must be nonnegative, got -1"),
+        (3, {"weights": [1.0]}, "weights array does not match edge count"),
+        (3, {"labels": [5, 6]}, "labels array must have one entry per vertex"),
+    ], ids=["negative-n", "weights", "labels"])
+    def test_build_rejects_mismatched_input(self, n, kwargs, message):
+        with pytest.raises(ValueError, match=message):
+            Graph.build(n, [0, 1], [1, 2], **kwargs)
 
     def test_build_rejects_nonpositive_weights(self):
         with pytest.raises(ValueError):
@@ -799,6 +808,20 @@ class TestGenerators:
     def test_generate_rejects_bad_specs(self, spec):
         with pytest.raises(ValueError):
             generate(spec)
+
+    @pytest.mark.parametrize("spec,n,m", [
+        ("complete:70000", 70000, 70000 * 69999 // 2),
+        ("book:1200000000", 1200000002, 2400000001),
+        ("weighted_book:1200000000:5", 1200000002, 2400000001),
+        ("gnp:3000000000:0", 3000000000, 0),
+        ("gnp:100000:0.5", 100000, 100000 * 99999 // 4),
+    ])
+    def test_oversize_specs_fail_before_allocating(self, monkeypatch, spec, n, m):
+        # Graph.build's own bound and message, checked before any array is made
+        monkeypatch.setattr(generators, "np", Unreachable("numpy"))
+        with pytest.raises(ValueError) as exc:
+            generate(spec)
+        assert str(exc.value) == f"graph too large for int32 vertex ids and positions: n={n}, m={m}"
 
 
 class TestStats:
