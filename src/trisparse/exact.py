@@ -74,7 +74,7 @@ def forward_sample(g: Graph, mask: np.ndarray):
     cost is O(pm). Either way g's ``fptr`` is never read."""
     _require_unweighted(g, "forward_sample")
     if mask.all():
-        return *_forward_rows(g), g.fidx
+        return *g.forward_rows, g.fidx
     kept = np.count_nonzero(mask)
     # same[k]: surviving entries k - 1 and k share a row
     same = np.zeros(kept + 1, dtype=bool)
@@ -123,13 +123,6 @@ def _oriented(g: Graph, edges: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     key.sort()
     src, dst = np.divmod(key, g.n)
     return src, dst.astype(np.int32, copy=False)
-
-
-def _forward_rows(g: Graph) -> tuple[np.ndarray, np.ndarray]:
-    """(first, fdeg) of g's forward rows of at least two entries."""
-    fdeg = g.fptr[1:] - g.fptr[:-1]
-    rows = (fdeg >= 2).nonzero()[0]
-    return g.fptr[rows], fdeg[rows]
 
 
 def check_threads(threads: int) -> None:
@@ -237,7 +230,8 @@ def _scan_steps(g: Graph, first: np.ndarray, fdeg: np.ndarray, fidx: np.ndarray,
     Each triangle is found exactly once, at its lowest-ranked vertex. A
     probe is a ``lookup`` in g's ``index``, which also gives the probed
     edge's canonical position, and a hit counts only if that edge is
-    alive. Each of the ``_packs`` is probed in one lookup. With
+    alive. A row's entries form their probes' bases once, not once per
+    pair. Each of the ``_packs`` is probed in one lookup. With
     ``threads`` > 1 the packs run on a pool of that many workers and are
     collected in scan order, so the result does not depend on the thread
     count; the wedges in flight stay within ``WEDGE_CHUNK``.
@@ -266,14 +260,15 @@ def _scan_steps(g: Graph, first: np.ndarray, fdeg: np.ndarray, fidx: np.ndarray,
             out = probe[at:at + size]
             # in scan order: a row's wedges together, pair by pair
             out = out.reshape(starts.size, ii.size).T if ordered else out.reshape(ii.size, -1)
-            # dtype= makes the product in the key dtype, not in fidx's int32
-            np.multiply(block.take(ii, axis=0), n, out=out, dtype=probe.dtype)
-            out += block.take(jj, axis=0)
+            # the probe of (a, b) is a's base plus b; the last entry opens
+            # no pair, so it needs no base
+            base = index.base(block[:-1], n)
+            np.add(base.take(ii, axis=0), block.take(jj, axis=0), out=out)
             at += size
-        # freed before the lookup allocates: held, it lifted a p = 0.93
+        # freed before the lookup allocates: held, they lifted a p = 0.93
         # trial on book(300000) past glibc's trim threshold, and each such
         # trial faulted some 12 MiB back in (about 3,100 page faults)
-        del block
+        del block, base
         idx, loc = lookup(probe, index)
         if fpos is None:
             return idx.size if alive is None else int(np.count_nonzero(alive[loc])), None
@@ -321,7 +316,7 @@ def triangle_edge_positions(g: Graph, threads: int = 1
     # a leading empty array keeps each concatenation int64 when t = 0
     empty = np.empty(0, dtype=np.int64)
     positions = ([empty], [empty], [empty])
-    for count, pieces in _scan_steps(g, *_forward_rows(g), g.fidx, fpos=g.fpos,
+    for count, pieces in _scan_steps(g, *g.forward_rows, g.fidx, fpos=g.fpos,
                                      threads=threads, ordered=True):
         t += count
         for out, piece in zip(positions, pieces or ()):
@@ -366,14 +361,17 @@ def count_node_iterator(g: Graph, *, edge_deltas: bool = False,
     """
     _require_unweighted(g, "count_node_iterator")
     t = 0
-    delta = np.zeros(g.m, dtype=np.int64)
+    # an edge is in at most n - 2 < 2^31 triangles
+    delta = np.zeros(g.m, dtype=np.int32)
     # each step's three position arrays are added in as they arrive, in
     # whatever order, so no more than one step's are held at once
-    for count, pieces in _scan_steps(g, *_forward_rows(g), g.fidx, fpos=g.fpos,
+    for count, pieces in _scan_steps(g, *g.forward_rows, g.fidx, fpos=g.fpos,
                                      threads=threads):
         t += count
         for piece in pieces or ():
-            np.add.at(delta, piece, 1)
+            # an int32 one keeps add.at on its fast path; a Python 1 made
+            # it some 50 times slower
+            np.add.at(delta, piece, np.int32(1))
     return _stats_from_delta(g, t, delta, edge_deltas)
 
 
@@ -413,14 +411,15 @@ def count_edge_iterator(g: Graph, *, edge_deltas: bool = False) -> TriangleStats
     is counted by one AND and popcount of their rows, in steps whose
     gathered blocks hold at most ``WEDGE_CHUNK`` words. Every other edge
     probes each neighbor w of its lower-degree endpoint against its other
-    endpoint h, a ``lookup`` of the canonical key of (h, w) in g's own
+    endpoint h, a ``lookup`` of the pair (h, w), ordered, in g's own
     ``index``: min(deg u, deg v) probes per edge, at most ``WEDGE_CHUNK``
     per step over these edges alone, or one edge's where it has more.
     """
     _require_unweighted(g, "count_edge_iterator")
     n, m = g.n, g.m
     deg = g.degrees
-    delta = np.zeros(m, dtype=np.int64)
+    # an edge is in at most n - 2 < 2^31 triangles
+    delta = np.zeros(m, dtype=np.int32)
     words = -(-n // 64)
     dense = deg >= words
     # the endpoints, decoded once, in the key dtype
@@ -464,9 +463,9 @@ def count_edge_iterator(g: Graph, *, edge_deltas: bool = False) -> TriangleStats
             w += np.arange(w.size)
             w = nbr[w]
             h = np.repeat(hi[a:b], count)
-            # the canonical key of (h, w), made from two int32 ids
-            probe = np.minimum(h, w, dtype=g.edge_keys.dtype)
-            probe *= n
+            # the probe of (min(h, w), max(h, w)); w = h makes a diagonal
+            # probe, which misses
+            probe = g.index.base(np.minimum(h, w), n)
             probe += np.maximum(h, w, out=h)
             # w and h go before the lookup allocates
             del w, h
@@ -503,7 +502,7 @@ def count_triangles(g: Graph) -> int:
     """Triangle count only, skipping per-edge bookkeeping. The fast path
     for estimators that need nothing but t."""
     _require_unweighted(g, "count_triangles")
-    return count_forward(g, *_forward_rows(g), g.fidx)
+    return count_forward(g, *g.forward_rows, g.fidx)
 
 
 def triple_census(g: Graph, t: int | None = None) -> TripleCensus:

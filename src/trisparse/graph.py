@@ -6,6 +6,7 @@ from __future__ import annotations
 import io
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -19,8 +20,8 @@ _MIN_ID, _MAX_ID = -2**63, 2**63 - 1
 # one byte each, so 8-16 bytes per edge.
 _SLOTS_PER_EDGE = 8
 # Most bytes per edge that the exact bit table and its rank directory may
-# take, 3n^2/16 bytes in all (one bit per key u*n+v, one int32 per 64 of
-# them); a graph past it keeps the screen. gnp(10000,0.02) needs 18.75.
+# take, 3n(n+1)/32 bytes in all (one bit per pair u <= v, one int32 per 64
+# of them); a graph past it keeps the screen. gnp(10000,0.02) needs 9.4.
 _TABLE_BYTES_PER_EDGE = 32
 # Keys the bit table's build sets at once.
 _TABLE_BUILD_CHUNK = 1 << 18
@@ -54,9 +55,10 @@ class Graph:
     and ``edge_v`` decode them. Each edge is also stored once in the
     forward CSR ``fptr, fidx``, oriented from its lower to its higher
     endpoint in degree-then-id order, with strictly ascending rows;
-    ``fpos`` gives the canonical edge index of each forward entry. Every
-    membership probe, on g or a sample of its edges, is a ``lookup`` in
-    the keys' ``index``: a ``BitTable`` where its n^2 bits fit
+    ``fpos`` gives the canonical edge index of each forward entry, and
+    ``forward_rows`` the rows with wedges. Every membership probe, on g
+    or a sample of its edges, is a ``lookup`` in the keys' ``index``: a
+    ``BitTable`` where its C(n+1, 2) bits, one per pair u <= v, fit
     ``_TABLE_BYTES_PER_EDGE``, else a ``SlotScreen``. Both give a key's
     canonical position. All arrays are read-only, so instances are safe
     to share across threads. ``labels`` maps compact vertex ids back to
@@ -100,13 +102,23 @@ class Graph:
     def is_weighted(self) -> bool:
         return self.weights is not None
 
+    @cached_property
+    def forward_rows(self) -> tuple[np.ndarray, np.ndarray]:
+        """(first, fdeg), read-only: the start into ``fidx`` and the length
+        of each forward row of at least two entries, the only rows with
+        wedges. Worked out on first use and kept; two threads that both
+        work it out get equal arrays."""
+        fdeg = self.fptr[1:] - self.fptr[:-1]
+        rows = (fdeg >= 2).nonzero()[0]
+        return _read_only(self.fptr[rows]), _read_only(fdeg[rows])
+
     def edge_positions(self, us, vs) -> np.ndarray:
         """Positions of the (us[i], vs[i]) edges in the canonical edge
         arrays, or -1 where the edge is absent. Vertex ids must lie in
         [0, n). Vectorized."""
         us = np.asarray(us, dtype=np.int64)
         vs = np.asarray(vs, dtype=np.int64)
-        keys = np.multiply(np.minimum(us, vs), self.n, dtype=self.edge_keys.dtype)
+        keys = self.index.base(np.minimum(us, vs), self.n)
         keys += np.maximum(us, vs)
         idx, loc = lookup(keys.ravel(), self.index)
         pos = np.full(keys.shape, -1, dtype=np.int64)
@@ -236,10 +248,16 @@ class SlotScreen:
     key k set. A probe whose slot is clear is no key; one whose slot is
     set is confirmed by a binary search of ``keys``, so the answer is
     exact whatever the screen passes. Costs the 4 or 8 bytes of each key
-    (``key_dtype``) plus one byte per slot."""
+    (``key_dtype``) plus one byte per slot. The probe of a pair is its
+    edge key u*n + v."""
 
     keys: np.ndarray
     slots: np.ndarray
+
+    @staticmethod
+    def base(u, n: int):
+        """u*n, in ``key_dtype(n)``: the probe of (u, v) less v."""
+        return np.multiply(u, n, dtype=key_dtype(n))
 
     def find(self, probe: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         # an intp index spares the gather a conversion of int32 probes
@@ -266,16 +284,31 @@ class SlotScreen:
 
 @dataclass(frozen=True, eq=False)
 class BitTable:
-    """Exact membership of keys in [0, n^2), with no search: bit k & 63
-    of little-endian word k >> 6 of ``words`` is set iff k is a key, and
-    ``rank[w]``, Jacobson's rank directory, counts the keys in the words
-    before w. A probe is one byte gather and shift, and a key's position
-    among the sorted keys is its word's rank plus the keys below it in
-    the word. Costs n^2/8 bytes of bits plus n^2/16 of rank, whatever
-    the number of keys."""
+    """Exact membership of the pairs u <= v of [0, n), with no search:
+    the upper triangle of the adjacency matrix, diagonal included, row
+    by row. Pair (u, v) is bit b = u*n - u(u+1)/2 + v, and bit b & 63 of
+    little-endian word b >> 6 of ``words`` is set iff (u, v) is an edge;
+    the diagonal bits stay clear, so a probe of (u, u) misses rather
+    than read a bit of row u - 1. ``rank[w]``, Jacobson's rank
+    directory, counts the edges in the words before w. A probe is one
+    byte gather and shift, and since the bits run in lexicographic pair
+    order, which is canonical edge order, an edge's position is its
+    word's rank plus the edges below it in the word. Costs C(n+1, 2)/8
+    bytes of bits plus C(n+1, 2)/16 of rank, whatever the number of
+    edges."""
 
     words: np.ndarray
     rank: np.ndarray
+
+    @staticmethod
+    def base(u, n: int):
+        """u*n - u(u+1)/2, in ``key_dtype(n)``: the bit of (u, v) less v,
+        for 0 <= u < n. Worked out as u(2n - 1 - u)/2, whose product is
+        even and below n^2, so it fits the dtype."""
+        b = np.subtract(2 * n - 1, u, dtype=key_dtype(n))
+        b *= u
+        b >>= 1
+        return b
 
     def find(self, probe: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         # bit k & 7 of byte k >> 3 is bit k & 63 of word k >> 6; intp
@@ -316,14 +349,24 @@ def set_bits(words: np.ndarray, bits: np.ndarray) -> None:
               np.left_shift(1, bits & 7).astype(np.uint8))
 
 
+def _table_words(n: int) -> int:
+    """64-bit words of the bit table on n vertices: C(n+1, 2) bits."""
+    return -(-n * (n + 1) // 128)
+
+
 def bit_table(keys: np.ndarray, n: int) -> BitTable:
-    """The bit table and rank directory of the sorted distinct ``keys``
-    in [0, n^2); fewer than 2^31 of them, so a rank fits int32."""
-    words = np.zeros(-(-n * n // 64), dtype="<u8")
-    # a block of keys at a time: all at once, the temporaries set the peak
-    # memory of a count on gnp(10000,0.02), 11 MiB higher
+    """The bit table and rank directory of the sorted distinct canonical
+    edge ``keys`` u*n+v (u < v) of a graph on n vertices; fewer than 2^31
+    of them, so a rank fits int32."""
+    words = np.zeros(_table_words(n), dtype="<u8")
+    # a block of keys at a time, each turned into its table bit: all at
+    # once, the temporaries set the peak memory of a count on
+    # gnp(10000,0.02), 11 MiB higher
     for a in range(0, keys.size, _TABLE_BUILD_CHUNK):
-        set_bits(words, keys[a:a + _TABLE_BUILD_CHUNK])
+        u, v = np.divmod(keys[a:a + _TABLE_BUILD_CHUNK], n)
+        bits = BitTable.base(u, n)
+        bits += v
+        set_bits(words, bits)
     # the counts summed in place: cumsum of the uint8 counts into int32
     # would cast them to a temporary as large as rank
     rank = np.zeros(words.size, dtype=np.int32)
@@ -337,21 +380,23 @@ def bit_table(keys: np.ndarray, n: int) -> BitTable:
 def edge_index(keys: np.ndarray, n: int) -> SlotScreen | BitTable:
     """The membership index of the sorted distinct edge ``keys`` of a
     graph on n vertices, chosen from n and m alone: the ``bit_table``
-    where its 3n^2/16 bytes are at most ``_TABLE_BYTES_PER_EDGE`` per
-    edge, else the ``slot_table``."""
-    words = -(-n * n // 64)
-    # counted as one edge, an edgeless graph of up to 11 vertices takes
+    where its 3n(n+1)/32 bytes (12 per 64-bit word) are at most
+    ``_TABLE_BYTES_PER_EDGE`` per edge, that is from an average degree
+    of about 3(n+1)/512 on, else the ``slot_table``."""
+    # counted as one edge, an edgeless graph of up to 15 vertices takes
     # the table too
-    if 12 * words <= _TABLE_BYTES_PER_EDGE * max(keys.size, 1) and keys.size < 2**31:
+    if 12 * _table_words(n) <= _TABLE_BYTES_PER_EDGE * max(keys.size, 1) and keys.size < 2**31:
         return bit_table(keys, n)
     return slot_table(keys, n)
 
 
 def lookup(probe: np.ndarray, index: SlotScreen | BitTable) -> tuple[np.ndarray, np.ndarray]:
-    """Membership of the ``probe`` keys in an edge ``index``. Returns idx,
-    where the probes that are keys sit in ``probe``, ascending, and loc,
-    their positions among the sorted keys, which are the canonical edge
-    positions for a graph's index. Both index kinds give the same answer."""
+    """Membership of the ``probe``s in an edge ``index``: the probe of a
+    pair (u, v), u <= v, of a graph on n vertices is
+    ``index.base(u, n) + v``. Returns idx, where the probes that are
+    edges sit in ``probe``, ascending, and loc, their positions among
+    the sorted keys, which are the canonical edge positions for a
+    graph's index. Both index kinds give the same answer."""
     return index.find(probe)
 
 

@@ -13,6 +13,7 @@ from trisparse import Graph, SparsifyParams, load_edge_list, sparsify, write_edg
 from trisparse.adaptive import trial_seed
 from trisparse import baselines, cli, generators
 from trisparse.cli import main
+from trisparse.graph import BitTable, SlotScreen
 
 
 def _read_report(path):
@@ -589,9 +590,15 @@ _COUNT_PEAK_PER_GRAPH_BYTE = 1.8
 
 
 class TestCountMemory:
-    def test_peak_within_a_multiple_of_the_graph(self, tmp_path):
-        path = _gen(tmp_path, "gnp:6000:0.02", seed=3)
+    # one graph on each membership index: gnp(40000, 0.0005), some 400k
+    # edges at average degree 20, is far too sparse for the bit table
+    @pytest.mark.parametrize("spec,kind", [("gnp:6000:0.02", BitTable),
+                                           ("gnp:40000:0.0005", SlotScreen)],
+                             ids=["table", "screen"])
+    def test_peak_within_a_multiple_of_the_graph(self, tmp_path, spec, kind):
+        path = _gen(tmp_path, spec, seed=3)
         g = load_edge_list(path)
+        assert isinstance(g.index, kind)
         arrays = [g.edge_u, g.edge_v, g.fptr, g.fidx, g.fpos, g.degrees, g.edge_keys, g.labels,
                   *(getattr(g.index, f.name) for f in dataclasses.fields(g.index))]
         graph_bytes = sum(a.nbytes for a in arrays)

@@ -227,7 +227,7 @@ class TestStructuralProperties:
 
 
 def _slots(g: Graph) -> int:
-    """Slots of g's screen; a bit table, exact, has one per key u*n+v."""
+    """Slots of g's screen; a bit table, exact, counts as n^2."""
     return g.index.slots.size if isinstance(g.index, SlotScreen) else g.n * g.n
 
 
@@ -242,7 +242,7 @@ def _assert_kernel_matches_references(g: Graph, core: Graph | None = None) -> No
         np.testing.assert_array_equal(got, want)
     # every fold of the one node scan gives the same t, a trial's count
     # with no mask and with every edge alive among them
-    rows = (*exact._forward_rows(g), g.fidx)
+    rows = (*g.forward_rows, g.fidx)
     alive = np.ones(g.m, dtype=bool)
     assert count_triangles(g) == exact.count_forward(g, *rows) == \
         exact.count_forward(g, *rows, alive) == t
@@ -331,7 +331,7 @@ class TestScreenedKernel:
             sizes.clear()
             got = triangle_edge_positions(g, threads) if collect else (sum(
                 count for count, _ in exact._scan_steps(
-                    g, *exact._forward_rows(g), g.fidx, threads=threads)), None)
+                    g, *g.forward_rows, g.fidx, threads=threads)), None)
             np.testing.assert_equal(got, want)
             # every wedge probed once, as perfbench counts them, and no step
             # over the per-worker budget, not even one row's wedges, as for
@@ -348,7 +348,7 @@ class TestScreenedKernel:
         # takes eight steps, seven of 7 wedges and one of 6
         g = complete(12)
         monkeypatch.setattr(exact, "WEDGE_CHUNK", 7)
-        steps = [(f, ii.size, starts.size) for pack in exact._packs(*exact._forward_rows(g), 7)
+        steps = [(f, ii.size, starts.size) for pack in exact._packs(*g.forward_rows, 7)
                  for f, ii, _, starts in pack]
         assert steps.count((11, 7, 1)) == 7 and steps.count((11, 6, 1)) == 1
         np.testing.assert_equal(triangle_edge_positions(g), searchsorted_node_scan(g))
@@ -360,7 +360,7 @@ class TestScreenedKernel:
         # steps together give np.triu_indices in order
         monkeypatch.setattr(exact, "WEDGE_CHUNK", chunk)
         rows = {}
-        for pack in exact._packs(*exact._forward_rows(complete(100)), exact.WEDGE_CHUNK):
+        for pack in exact._packs(*complete(100).forward_rows, exact.WEDGE_CHUNK):
             for f, ii, jj, starts in pack:
                 if f > exact._CACHED_PAIRS:
                     for a in (ii, jj):
@@ -776,8 +776,8 @@ class TestKeyDtypeBoundary:
         # so every position
         ids = np.concatenate([np.linspace(0, n - 3, 38).astype(np.int64), [n - 2, n - 1]])
         if table:
-            # n^2 bits and their rank directory, 384 MiB for some 250 edges;
-            # only the rank's 128 MiB is all written
+            # C(n+1, 2) bits and their rank directory, 192 MiB for some 250
+            # edges; only the rank's 64 MiB is all written
             monkeypatch.setattr(graph_module, "_TABLE_BYTES_PER_EDGE", 2**40)
         g = Graph.build(n, ids[small.edge_u], ids[small.edge_v])
         monkeypatch.undo()

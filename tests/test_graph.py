@@ -595,24 +595,38 @@ def _all_pairs(n: int) -> tuple[np.ndarray, np.ndarray]:
     return np.repeat(ids, n), np.tile(ids, n)
 
 
+def _table_words(n: int) -> int:
+    """64-bit words of the bit table on n vertices, one bit per pair u <= v."""
+    return -(-(n * (n + 1) // 2) // 64)
+
+
+def _table_bits(g) -> np.ndarray:
+    """The table bit of each canonical edge (u, v), u*n - u(u+1)/2 + v,
+    worked out in Python ints."""
+    n = g.n
+    return np.array([u * n - u * (u + 1) // 2 + v
+                     for u, v in zip(g.edge_u.tolist(), g.edge_v.tolist())], dtype=np.int64)
+
+
 def _assert_rank_directory(g) -> None:
-    """g's bit table holds exactly its keys, and each rank counts the keys
-    in the words before it."""
+    """g's bit table holds exactly its edges' bits, so none of the
+    diagonal's, and each rank counts the edges in the words before it."""
     words, rank = g.index.words, g.index.rank
-    assert words.size == -(-g.n * g.n // 64) and rank.dtype == np.int32
+    assert words.size == _table_words(g.n) and rank.dtype == np.int32
     bits = np.unpackbits(words.view(np.uint8), bitorder="little")
-    np.testing.assert_array_equal(np.flatnonzero(bits), g.edge_keys)
-    per_word = np.bincount(g.edge_keys >> 6, minlength=words.size)
+    want = _table_bits(g)
+    np.testing.assert_array_equal(np.flatnonzero(bits), want)
+    per_word = np.bincount(want >> 6, minlength=words.size)
     np.testing.assert_array_equal(rank, np.cumsum(per_word) - per_word)
 
 
 class TestBitTable:
     """The exact bit table and rank directory, the index of every graph
-    whose 3n^2/16 bytes fit ``_TABLE_BYTES_PER_EDGE`` per edge."""
+    whose 3n(n+1)/32 bytes fit ``_TABLE_BYTES_PER_EDGE`` per edge."""
 
-    @pytest.mark.parametrize("n", [2, 3, 7, 8, 9, 63, 64, 65, 100, 129])
+    @pytest.mark.parametrize("n", [2, 3, 7, 8, 9, 63, 64, 65, 100, 127, 128, 129])
     def test_complete_graphs(self, n):
-        # n^2 is a multiple of 64 only at n = 8 and 64
+        # C(n+1, 2) bits are a whole number of words only at n = 127 and 128
         g = complete(n)
         assert isinstance(g.index, BitTable)
         _assert_rank_directory(g)
@@ -621,29 +635,35 @@ class TestBitTable:
 
     @pytest.mark.parametrize("n", [9, 11, 13])
     def test_last_edge_in_a_partial_last_word(self, n):
-        # the largest key, that of (n - 2, n - 1), in the last word, which
-        # holds fewer than 64 keys
+        # the last edge, (n - 2, n - 1), whose bit is the last but the
+        # diagonal's (n - 1, n - 1), in the last word, which holds fewer
+        # than 64 bits; at n = 11 it holds those two alone
         g = Graph.build(n, [0, n - 2], [1, n - 1])
-        assert isinstance(g.index, BitTable) and n * n % 64
-        assert g.edge_keys[-1] >> 6 == g.index.words.size - 1
+        bits = n * (n + 1) // 2
+        assert isinstance(g.index, BitTable) and bits % 64
+        assert _table_bits(g)[-1] == bits - 2
+        assert (bits - 2) >> 6 == g.index.words.size - 1
         _assert_rank_directory(g)
         _assert_positions(g, *_all_pairs(n))
         assert int(g.edge_positions(n - 1, n - 2)) == 1
 
-    @pytest.mark.parametrize("n", [0, 1, 2, 11])
+    @pytest.mark.parametrize("n", [0, 1, 2, 11, 15])
     def test_edgeless(self, n):
-        # an edgeless graph counts as one edge, so up to two words fit
+        # an edgeless graph counts as one edge, so up to two words fit:
+        # C(16, 2) = 120 bits, and C(17, 2) = 136 take three
         g = Graph.build(n, [], [])
         assert isinstance(g.index, BitTable)
         _assert_rank_directory(g)
         _assert_positions(g, *_all_pairs(n))
         assert count_triangles(g) == 0
-        assert isinstance(Graph.build(12, [], []).index, SlotScreen)
+        assert isinstance(Graph.build(16, [], []).index, SlotScreen)
 
     def test_both_sides_of_the_budget(self):
-        # 64 vertices take 64 words of 12 bytes: the table from 24 edges on
+        # 64 vertices take C(65, 2) = 2080 bits, 33 words of 12 bytes: the
+        # table from 13 edges on
         n, budget = 64, graph_module._TABLE_BYTES_PER_EDGE
-        fit = -(-12 * n * n // 64 // budget)
+        fit = -(-12 * _table_words(n) // budget)
+        assert fit == 13
         pairs = np.random.default_rng(7).permutation(
             np.array([(u, v) for u in range(n) for v in range(u + 1, n)]))[:fit]
         below = Graph.build(n, pairs[:-1, 0], pairs[:-1, 1])
@@ -675,7 +695,7 @@ class TestBitTable:
             _assert_rank_directory(g)
         else:
             # 12 bytes per 64-bit word of the table
-            assert 12 * -(-g.n * g.n // 64) > graph_module._TABLE_BYTES_PER_EDGE * max(g.m, 1)
+            assert 12 * _table_words(g.n) > graph_module._TABLE_BYTES_PER_EDGE * max(g.m, 1)
 
 
 class TestKeyArithmetic:
@@ -694,6 +714,25 @@ class TestKeyArithmetic:
         deg = np.array([n - 1], dtype=np.int32)
         ids = np.array([n - 1], dtype=np.int32)
         assert int((deg * np.int64(n) + ids)[0]) == top_rank
+
+    @pytest.mark.parametrize("n", [46340, 46341, _MAX_INT32])
+    def test_index_bases_at_the_dtype_edges(self, n):
+        # the probes of rows up to n - 1 from int32 ids, as the scan makes
+        # them, against Python ints, on the numbers alone
+        us = np.array([0, 1, n // 2, n - 2, n - 1], dtype=np.int32)
+        for kind, want in ((BitTable, lambda u, v: u * n - u * (u + 1) // 2 + v),
+                           (SlotScreen, lambda u, v: u * n + v)):
+            base = kind.base(us, n)
+            assert base.dtype == key_dtype(n)
+            # each row's diagonal and its last pair, (u, n - 1)
+            for vs in (us, np.full_like(us, n - 1)):
+                got = base + vs
+                assert got.tolist() == [want(u, v) for u, v in zip(us.tolist(), vs.tolist())]
+        # the table's last row holds only the diagonal: the bit of
+        # (n - 1, n - 1) is its last, C(n+1, 2) - 1, and fits the dtype
+        last = BitTable.base(us[-1:], n) + us[-1:]
+        assert last.tolist() == [n * (n + 1) // 2 - 1]
+        assert n * (n + 1) // 2 - 1 <= np.iinfo(key_dtype(n)).max
 
     def test_key_dtype_boundary(self):
         # int32 keys exactly while n^2 < 2^31
