@@ -12,9 +12,9 @@ from time import perf_counter
 
 import numpy as np
 
-from .exact import _in_order, check_threads
+from .exact import SCAN_TRIALS, _in_order, check_threads, open_pool
 from .graph import Graph
-from .sparsify import Estimate, SparsifyParams, estimate_triangles
+from .sparsify import Estimate, SparsifyParams, estimate_shared, estimate_triangles
 
 DELTA_DOMINANT = "delta_dominant"
 TRIANGLE_DOMINANT = "triangle_dominant"
@@ -190,10 +190,21 @@ def run_trials(g: Graph, p: float, seed: int, batch_index: int, trials: int,
     """Sparsify-and-count ``trials`` times at rate p on a pool of
     ``threads`` (at least 1) workers, or inline on the calling thread at
     one; trial j uses seed ``trial_seed(seed, batch_index, j)``. Results
-    come back in trial order, whatever the thread count."""
+    come back in trial order, whatever the thread count.
+
+    Where trials * p^2 >= 1, k samples of about p^2 of g's wedges each
+    cost more than one scan of g, so the trials share one: each group
+    of ``SCAN_TRIALS`` runs as ``estimate_shared``, on one pool for the
+    rung, and its trials equal their own ``estimate_triangles`` but for
+    their timings, which are equal shares of the rung's. Below that
+    each trial runs alone."""
     check_threads(threads)
-    params = (SparsifyParams(p=p, seed=trial_seed(seed, batch_index, j)) for j in range(trials))
-    return list(_in_order(lambda pr: estimate_triangles(g, pr), params, threads))
+    params = [SparsifyParams(p=p, seed=trial_seed(seed, batch_index, j)) for j in range(trials)]
+    if trials * p * p < 1.0:
+        return list(_in_order(lambda pr: estimate_triangles(g, pr), params, threads))
+    with open_pool(threads) as pool:
+        return [e for a in range(0, trials, SCAN_TRIALS)
+                for e in estimate_shared(g, params[a:a + SCAN_TRIALS], threads, pool)]
 
 
 def check_search(p0: float | None, trials_per_p: int, spread_threshold: float) -> None:

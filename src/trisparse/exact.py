@@ -6,6 +6,7 @@ from __future__ import annotations
 import itertools
 from collections import deque
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import nullcontext
 from dataclasses import dataclass
 from functools import lru_cache
 from math import comb
@@ -201,28 +202,39 @@ def _packs(first, fdeg, budget: int):
         yield pack
 
 
-def _in_order(fn, steps, threads: int):
-    """fn of each step, a scan's pack or a trial, in step order. With one
-    thread the steps run inline; with more they run on a pool of
-    ``threads`` workers, at most 2 * threads of them submitted ahead of
-    the one being collected (``pool.map`` would submit every step at
-    once, and so hold every class's pair indices together)."""
+def open_pool(threads: int):
+    """A pool of ``threads`` workers for ``_in_order`` to share, or at one
+    thread no pool (None): a context manager either way."""
+    return ThreadPoolExecutor(threads) if threads > 1 else nullcontext()
+
+
+def _in_order(fn, steps, threads: int, pool=None):
+    """fn of each step, a scan's pack, a trial or a mask, in step order.
+    With one thread the steps run inline; with more they run on ``pool``,
+    or where none is open on a pool of ``threads`` workers opened for
+    them, at most 2 * threads of them submitted ahead of the one being
+    collected (``pool.map`` would submit every step at once, and so hold
+    every class's pair indices together)."""
     if threads == 1:
         yield from map(fn, steps)
         return
-    with ThreadPoolExecutor(threads) as pool:
-        ahead = deque()
-        for step in steps:
-            ahead.append(pool.submit(fn, step))
-            if len(ahead) > 2 * threads:
-                yield ahead.popleft().result()
-        while ahead:
+    if pool is None:
+        with ThreadPoolExecutor(threads) as pool:
+            yield from _in_order(fn, steps, threads, pool)
+        return
+    ahead = deque()
+    for step in steps:
+        ahead.append(pool.submit(fn, step))
+        if len(ahead) > 2 * threads:
             yield ahead.popleft().result()
+    while ahead:
+        yield ahead.popleft().result()
 
 
 def _scan_steps(g: Graph, first: np.ndarray, fdeg: np.ndarray, fidx: np.ndarray,
                 alive: np.ndarray | None = None, fpos: np.ndarray | None = None,
-                threads: int = 1, ordered: bool = False):
+                threads: int = 1, ordered: bool = False, bits: np.ndarray | None = None,
+                pool=None):
     """Node-iterator core (forward / compact-forward, Schank & Wagner):
     for every vertex, test adjacency between pairs of its forward
     neighbors, given as the rows ``first, fdeg`` into ``fidx`` of g or of
@@ -234,7 +246,8 @@ def _scan_steps(g: Graph, first: np.ndarray, fdeg: np.ndarray, fidx: np.ndarray,
     pair. Each of the ``_packs`` is probed in one lookup. With
     ``threads`` > 1 the packs run on a pool of that many workers and are
     collected in scan order, so the result does not depend on the thread
-    count; the wedges in flight stay within ``WEDGE_CHUNK``.
+    count; the wedges in flight stay within ``WEDGE_CHUNK``. They run on
+    ``pool`` where one is open (``open_pool(threads)``).
 
     Yields (count, positions) per pack, in scan order. Given ``fpos``,
     each forward entry's canonical position, and no ``alive``, positions
@@ -242,17 +255,31 @@ def _scan_steps(g: Graph, first: np.ndarray, fdeg: np.ndarray, fidx: np.ndarray,
     probed edge's position, or is None where the pack found no triangle;
     else it is always None. Each step's triangles come pair by pair,
     which saves transposing its probes, unless ``ordered``: then they
-    come in scan order, a row's together.
+    come in scan order, a row's together. Given ``fpos`` and ``bits``,
+    one unsigned integer per canonical edge, and not ``ordered``, the
+    worker folds its pack itself: in place of positions comes
+    ``bit_counts`` of the AND of each triangle's three edges' bits,
+    also where the pack found no triangle.
     """
     check_threads(threads)
     n, index = g.n, g.index
+    if bits is not None:
+        # each forward entry's bits, gathered once for every pack
+        forward_bits = bits[fpos]
 
     def probe_pack(pack):
         # the wedges of each step of the pack follow the last step's
         sizes = [ii.size * starts.size for _, ii, _, starts in pack]
         probe = np.empty(sum(sizes), dtype=g.edge_keys.dtype)
+        if bits is not None:
+            # laid out as probe: the AND of each wedge's two forward edges' bits
+            tag = np.empty(probe.size, dtype=bits.dtype)
         at = 0
         for (f, ii, jj, starts), size in zip(pack, sizes):
+            if bits is not None:
+                edge = forward_bits[np.arange(f)[:, None] + starts]
+                np.bitwise_and(edge.take(ii, axis=0), edge.take(jj, axis=0),
+                               out=tag[at:at + size].reshape(ii.size, -1))
             # block[c] holds entry c of each of the step's rows and probe[k]
             # their wedges of pair k, so every numpy loop runs over all those
             # rows however small f is. Rows ascend by id, so a < b in each pair.
@@ -270,6 +297,10 @@ def _scan_steps(g: Graph, first: np.ndarray, fdeg: np.ndarray, fidx: np.ndarray,
         # trial faulted some 12 MiB back in (about 3,100 page faults)
         del block, base
         idx, loc = lookup(probe, index)
+        if bits is not None:
+            tags = tag[idx]
+            tags &= bits[loc]
+            return idx.size, bit_counts(tags)
         if fpos is None:
             return idx.size if alive is None else int(np.count_nonzero(alive[loc])), None
         if not idx.size:
@@ -293,7 +324,7 @@ def _scan_steps(g: Graph, first: np.ndarray, fdeg: np.ndarray, fidx: np.ndarray,
                           np.concatenate(seconds, dtype=np.intp), loc)
 
     budget = max(1, WEDGE_CHUNK // threads)
-    return _in_order(probe_pack, _packs(first, fdeg, budget), threads)
+    return _in_order(probe_pack, _packs(first, fdeg, budget), threads, pool)
 
 
 def count_forward(g: Graph, first: np.ndarray, fdeg: np.ndarray, fidx: np.ndarray,
@@ -302,6 +333,48 @@ def count_forward(g: Graph, first: np.ndarray, fdeg: np.ndarray, fidx: np.ndarra
     where ``alive`` holds, all of them where it is None, given its
     forward rows from ``forward_sample``."""
     return sum(count for count, _ in _scan_steps(g, first, fdeg, fidx, alive))
+
+
+# Most trials one shared scan counts, a bit each of a uint64.
+SCAN_TRIALS = 64
+
+
+def trial_dtype(trials: int) -> np.dtype:
+    """The narrowest little-endian unsigned dtype with a bit for each of
+    1 to ``SCAN_TRIALS`` ``trials``."""
+    if not 1 <= trials <= SCAN_TRIALS:
+        raise ValueError(f"one scan counts 1 to {SCAN_TRIALS} trials, got {trials}")
+    size = 1
+    while 8 * size < trials:
+        size *= 2
+    return np.dtype(f"<u{size}")
+
+
+def bit_counts(tags: np.ndarray) -> np.ndarray:
+    """How many of the little-endian unsigned ``tags`` have each bit set:
+    8 * itemsize counts, bit i of byte b at 8b + i."""
+    data = tags.view(np.uint8).reshape(tags.size, tags.itemsize)
+    # bits[v, i] is bit i of the byte v
+    bits = np.unpackbits(np.arange(256, dtype=np.uint8)[:, None], axis=1, bitorder="little")
+    return np.concatenate([np.bincount(data[:, b], minlength=256) @ bits
+                           for b in range(tags.itemsize)])
+
+
+def count_trials(g: Graph, bits: np.ndarray, threads: int = 1, pool=None) -> np.ndarray:
+    """Triangle counts of up to ``SCAN_TRIALS`` samples of g from one
+    scan of g's own forward rows: bit j of ``bits[e]``, a
+    ``trial_dtype``, is set where sample j keeps canonical edge e. The
+    scan finds each of g's triangles once, and a triangle counts for
+    sample j where all three of its edges have bit j; entry j of the
+    result is sample j's count. Each pack is folded to its counts in the
+    worker that probed it. The packs run as ``count_node_iterator``'s,
+    on ``pool`` where one is open; the counts do not depend on the
+    thread count."""
+    counts = np.zeros(8 * bits.itemsize, dtype=np.int64)
+    for _, tally in _scan_steps(g, *g.forward_rows, g.fidx, fpos=g.fpos, threads=threads,
+                                bits=bits, pool=pool):
+        counts += tally
+    return counts
 
 
 def triangle_edge_positions(g: Graph, threads: int = 1

@@ -9,7 +9,7 @@ import numpy as np
 
 # a trial's t' is the forward scan of its sample, timed under this name
 from .exact import count_forward as count_triangles
-from .exact import forward_sample, triangle_edge_positions
+from .exact import _in_order, count_trials, forward_sample, triangle_edge_positions, trial_dtype
 from .graph import Graph
 
 
@@ -95,6 +95,43 @@ def estimate_triangles(g: Graph, params: SparsifyParams) -> Estimate:
         sparsify_time=sparsify_time,
         count_time=count_time,
     )
+
+
+def estimate_shared(g: Graph, params: list[SparsifyParams], threads: int = 1,
+                    pool=None) -> list[Estimate]:
+    """The trials ``params``, 1 to ``exact.SCAN_TRIALS`` of them at one
+    rate p, from one scan of g, each equal to its ``estimate_triangles``:
+    trial j's mask is drawn with its own seed and or-ed into bit j of a
+    ``trial_dtype`` per edge as it arrives, so the masks are never all
+    held at once, and ``count_trials`` gives every t' from one scan of
+    g's forward rows. At p = 1 no coin is drawn, and one count of g
+    serves every trial. The draws and the scan's packs run on ``pool``
+    where one is open. Each trial's ``sparsify_time`` and
+    ``count_time`` are equal shares of the rung's draw and scan time."""
+    if g.is_weighted:
+        raise ValueError("estimate_shared expects an unweighted graph")
+    p, trials = params[0].p, len(params)
+    start = perf_counter()
+    if p == 1.0:
+        kept, bits = [g.m] * trials, None
+    else:
+        bits = np.zeros(g.m, dtype=trial_dtype(trials))
+        kept = []
+
+        def draw(j: int) -> np.ndarray:
+            return np.left_shift(survival_mask(g.m, params[j]), j, dtype=bits.dtype)
+
+        for bit in _in_order(draw, range(trials), threads, pool):
+            bits |= bit
+            kept.append(int(np.count_nonzero(bit)))
+    sparsify_time = perf_counter() - start
+    start = perf_counter()
+    t_primes = ([count_triangles(g, *g.forward_rows, g.fidx)] * trials if bits is None
+                else count_trials(g, bits, threads, pool)[:trials].tolist())
+    count_time = perf_counter() - start
+    return [Estimate(params=pr, surviving_edges=s, t_prime=t, estimate=t / pr.p ** 3,
+                     sparsify_time=sparsify_time / trials, count_time=count_time / trials)
+            for pr, s, t in zip(params, kept, t_primes)]
 
 
 def count_weighted_triangles(g: Graph, threads: int = 1) -> float:

@@ -1,3 +1,4 @@
+import importlib
 import math
 import sys
 
@@ -6,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles import load_perfbench, with_isolated
 from trisparse import (
     Graph,
     SparsifyParams,
@@ -17,9 +19,11 @@ from trisparse import (
     default_p0,
     doubling_search,
     estimate_triangles,
+    exact,
     gnp,
     recommend_p,
     trial_seed,
+    weighted_book,
 )
 from trisparse.adaptive import (
     DELTA_DOMINANT,
@@ -27,6 +31,11 @@ from trisparse.adaptive import (
     recommendation_grid,
     run_trials,
 )
+from trisparse.graph import BitTable, SlotScreen
+
+adaptive_module = importlib.import_module("trisparse.adaptive")
+graph_module = importlib.import_module("trisparse.graph")
+BENCH_LAYERS = load_perfbench("layers")
 
 
 class TestCheckConditions:
@@ -314,3 +323,129 @@ class TestRunTrials:
     def test_thread_count_below_one_rejected(self, threads):
         with pytest.raises(ValueError, match="thread count must be at least 1"):
             run_trials(gnp(30, 0.3, 1), 0.5, 0, 0, 2, threads=threads)
+
+
+def _fields(trials):
+    return [(e.params, e.surviving_edges, e.t_prime, e.estimate) for e in trials]
+
+
+def _direct(g, p, seed, batch, trials):
+    """Each trial of a rung run alone by ``estimate_triangles``."""
+    return _fields(estimate_triangles(g, SparsifyParams(p, trial_seed(seed, batch, j)))
+                   for j in range(trials))
+
+
+@st.composite
+def _indexed_graphs(draw):
+    """A random graph on at most 40 vertices, on the bit table; or its
+    edges moved to distinct ids among up to 3000 vertices, the rest
+    isolated, on the slot screen."""
+    k = draw(st.integers(2, 40))
+    pairs = draw(st.lists(st.tuples(st.integers(0, k - 1), st.integers(0, k - 1)),
+                          max_size=6 * k))
+    us = np.array([u for u, _ in pairs], dtype=np.int64)
+    vs = np.array([v for _, v in pairs], dtype=np.int64)
+    kind = draw(st.sampled_from([BitTable, SlotScreen]))
+    n = k if kind is BitTable else draw(st.integers(k, 3000))
+    ids = np.array(draw(st.permutations(range(n)))[:k]) if n > k else np.arange(k)
+    with pytest.MonkeyPatch.context() as mp:
+        # an unbounded budget forces the table, a zero one the screen
+        mp.setattr(graph_module, "_TABLE_BYTES_PER_EDGE", 2**40 if kind is BitTable else 0)
+        g = Graph.build(n, ids[us], ids[vs])
+    assert isinstance(g.index, kind)
+    return g
+
+
+class TestSharedRung:
+    """From trials * p^2 >= 1 on a rung's trials share one scan of the
+    parent; each must still equal its own ``estimate_triangles``."""
+
+    @given(g=_indexed_graphs(), trials=st.sampled_from([1, 2, 6, 8, 9, 16, 64, 65]),
+           scale=st.sampled_from([0.3, 0.9, 1.0, 1.2, 2.0, 4.0, None]),
+           seed=st.integers(0, 10**6))
+    @settings(max_examples=80, deadline=None)
+    def test_matches_each_trial_alone(self, g, trials, scale, seed):
+        # p on both sides of 1/sqrt(trials), and at 1
+        p = 1.0 if scale is None else min(1.0, scale / math.sqrt(trials))
+        want = _direct(g, p, seed, 3, trials)
+        calls = []
+        shared = adaptive_module.estimate_shared
+
+        def spy(h, params, *args):
+            calls.append(len(params))
+            return shared(h, params, *args)
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(adaptive_module, "estimate_shared", spy)
+            for threads in (1, 2, 4):
+                calls.clear()
+                assert _fields(run_trials(g, p, seed, 3, trials, threads)) == want
+                # every group of 64 trials shares a scan, or none does
+                assert calls == ([64] * (trials // 64) + [trials % 64] * (trials % 64 > 0)
+                                 if trials * p * p >= 1 else [])
+
+    @pytest.mark.parametrize("trials", [6, 9, 65])
+    @pytest.mark.parametrize("p", [0.5, 0.935, 1.0])
+    @pytest.mark.parametrize("spec", ["book", "gnp", "gnp-isolated"])
+    def test_shapes(self, spec, p, trials):
+        g = {"book": book(3000), "gnp": gnp(600, 0.1, 1),
+             "gnp-isolated": with_isolated(gnp(300, 0.1, 2), 5000, 5000)}[spec]
+        want = _direct(g, p, 7, 1, trials)
+        assert any(t_prime for _, _, t_prime, _ in want)
+        for threads in (1, 2):
+            assert _fields(run_trials(g, p, 7, 1, trials, threads)) == want
+
+    def test_search_trace_is_thread_invariant(self):
+        # a threshold no sampled batch meets: every rung up to p = 1 runs,
+        # the last two, p = 0.58 and 1, shared
+        g = book(3000)
+        a, b = (doubling_search(g, spread_threshold=1e-9, seed=11, threads=threads)
+                for threads in (1, 2))
+        assert [(x.p, x.estimates, x.spread, x.concentrated) for x in a.trace] == \
+            [(x.p, x.estimates, x.spread, x.concentrated) for x in b.trace]
+        assert (a.p_star, a.final_estimate, a.total_trials) == \
+            (b.p_star, b.final_estimate, b.total_trials) == (1.0, 3000.0, 6 * len(a.trace))
+        assert sum(x.p ** 2 * 6 >= 1 for x in a.trace) == 2
+
+    @pytest.mark.parametrize("p", [0.2, 0.7, 1.0])
+    def test_rejects_weighted(self, p):
+        with pytest.raises(ValueError, match="unweighted"):
+            run_trials(weighted_book(3, 2.0), p, 0, 0, 4)
+
+    def test_timings_are_equal_shares(self):
+        trials = run_trials(gnp(200, 0.2, 3), 0.7, 1, 0, 6)
+        assert len({(e.sparsify_time, e.count_time) for e in trials}) == 1
+        assert trials[0].count_time > 0
+
+    @pytest.mark.parametrize("chunk", [7, None], ids=["chunk7", "default"])
+    @pytest.mark.parametrize("trials", [2, 8, 9])
+    def test_step_budget(self, trials, chunk, monkeypatch):
+        g = gnp(120, 0.2, 4)
+        want = _direct(g, 0.8, 2, 0, trials)
+        if chunk is not None:
+            monkeypatch.setattr(exact, "WEDGE_CHUNK", chunk)
+        sizes, widths = [], []
+        lookup, count_trials = exact.lookup, exact.count_trials
+
+        def spy_lookup(probe, *args):
+            sizes.append(probe.size)
+            return lookup(probe, *args)
+
+        def spy_count(h, bits, *args):
+            widths.append(bits.nbytes / h.m)
+            return count_trials(h, bits, *args)
+
+        monkeypatch.setattr(exact, "lookup", spy_lookup)
+        monkeypatch.setattr(exact, "count_trials", spy_count)
+        monkeypatch.setattr(importlib.import_module("trisparse.sparsify"), "count_trials",
+                            spy_count)
+        for threads in (1, 2):
+            sizes.clear()
+            widths.clear()
+            assert _fields(run_trials(g, 0.8, 2, 0, trials, threads)) == want
+            # one scan of the parent, each wedge probed once, within the
+            # per-worker budget
+            assert sum(sizes) == BENCH_LAYERS.forward_wedges(g)
+            assert max(sizes) <= max(1, exact.WEDGE_CHUNK // threads)
+            # one byte of trial bits per edge for up to 8 trials, two for 9
+            assert widths == [1 if trials <= 8 else 2]

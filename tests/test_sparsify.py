@@ -1,3 +1,4 @@
+import functools
 import importlib
 from concurrent import futures
 from dataclasses import replace
@@ -24,6 +25,7 @@ from trisparse import (
     count_edge_iterator,
     count_triangles,
     count_weighted_triangles,
+    doubling_search,
     estimate_triangles,
     estimate_weighted_triangles,
     exact,
@@ -352,18 +354,41 @@ class TestForwardSample:
         monkeypatch.setattr(sparsify_module, "forward_sample", filtered_forward_rows)
         assert _trial_fields(run_trials(g, p, 7, 1, 6, threads=1)) == want
 
-    def test_trials_below_p_one_never_read_fptr(self):
-        # a book with 10^5 isolated vertices around it: the sample is
+    def test_trials_below_p_one_never_read_fptr(self, monkeypatch):
+        # a book with 10^5 isolated vertices around it: a trial's sample is
         # built from the surviving entries, never from the parent's rows
         g = with_isolated(book(300), 40_000, 60_000)
         poisoned = replace(g, fptr=_Poisoned())
         for p in (0.01, 0.2, 0.6, 0.95):
-            want = _trial_fields(run_trials(g, p, 3, 0, 4))
+            want = _trial_fields(estimate_triangles(g, SparsifyParams(p, trial_seed(3, 0, j)))
+                                 for j in range(4))
             assert any(t_prime for _, _, t_prime, _ in want) or p < 0.5
+            # from 4 * p^2 >= 1 on the four trials share one scan of the
+            # parent's own forward rows, so only the trials run alone
+            # must do without fptr
             for threads in (1, 2):
-                assert _trial_fields(run_trials(poisoned, p, 3, 0, 4, threads=threads)) == want
+                trial = poisoned if 4 * p * p < 1 else g
+                assert _trial_fields(run_trials(trial, p, 3, 0, 4, threads=threads)) == want
         with pytest.raises(AssertionError, match="fptr"):
             estimate_triangles(poisoned, SparsifyParams(p=1.0))
+        # the shared rungs of a whole search work out the forward rows once
+        # per graph, not once per rung
+        made = []
+        rows = Graph.forward_rows
+
+        def counted(h):
+            made.append(h)
+            return rows.func(h)
+
+        prop = functools.cached_property(counted)
+        prop.__set_name__(Graph, "forward_rows")
+        monkeypatch.setattr(Graph, "forward_rows", prop)
+        for threads in (1, 2):
+            h = with_isolated(book(300), 40_000, 60_000)
+            report = doubling_search(h, p0=0.01, trials_per_p=4, spread_threshold=1e-9,
+                                     seed=3, threads=threads)
+            assert sum(4 * b.p ** 2 >= 1 for b in report.trace) == 2
+            assert made.count(h) <= 1
 
 
 class TestExhaustiveUnbiasedness:
