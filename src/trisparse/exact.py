@@ -66,16 +66,13 @@ def forward_sample(g: Graph, mask: np.ndarray):
     order, and each row that keeps at least two of them, the only rows
     with wedges, starts ``first`` into fidx and holds ``fdeg`` entries.
     g's vertex order is still a total order on the sample, so
-    ``count_forward`` finds each of its triangles once. When every edge
-    survives the rows are g's own and fidx is g's, with no copy.
+    ``count_forward`` finds each of its triangles once.
 
     Where fewer than m/16 edges survive, the survivors come from the
     mask's nonzero positions, oriented and sorted into forward order.
     Otherwise the mask is gathered into forward order, past which the
     cost is O(pm). Either way g's ``fptr`` is never read."""
     _require_unweighted(g, "forward_sample")
-    if mask.all():
-        return *g.forward_rows, g.fidx
     kept = np.count_nonzero(mask)
     # same[k]: surviving entries k - 1 and k share a row
     same = np.zeros(kept + 1, dtype=bool)
@@ -231,55 +228,35 @@ def _in_order(fn, steps, threads: int, pool=None):
         yield ahead.popleft().result()
 
 
-def _scan_steps(g: Graph, first: np.ndarray, fdeg: np.ndarray, fidx: np.ndarray,
-                alive: np.ndarray | None = None, fpos: np.ndarray | None = None,
-                threads: int = 1, ordered: bool = False, bits: np.ndarray | None = None,
-                pool=None):
+def _scan_steps(g: Graph, first: np.ndarray, fdeg: np.ndarray, fidx: np.ndarray, fold,
+                threads: int = 1, ordered: bool = False, pool=None):
     """Node-iterator core (forward / compact-forward, Schank & Wagner):
     for every vertex, test adjacency between pairs of its forward
     neighbors, given as the rows ``first, fdeg`` into ``fidx`` of g or of
-    its sample of the edges where ``alive`` holds (``forward_sample``).
-    Each triangle is found exactly once, at its lowest-ranked vertex. A
-    probe is a ``lookup`` in g's ``index``, which also gives the probed
-    edge's canonical position, and a hit counts only if that edge is
-    alive. A row's entries form their probes' bases once, not once per
-    pair. Each of the ``_packs`` is probed in one lookup. With
-    ``threads`` > 1 the packs run on a pool of that many workers and are
-    collected in scan order, so the result does not depend on the thread
-    count; the wedges in flight stay within ``WEDGE_CHUNK``. They run on
-    ``pool`` where one is open (``open_pool(threads)``).
+    a sample of its edges (``forward_sample``). Each triangle is found
+    exactly once, at its lowest-ranked vertex. A probe is a ``lookup``
+    in g's ``index``, and a row's entries form their probes' bases once,
+    not once per pair. Each of the ``_packs`` is probed in one lookup.
+    With ``threads`` > 1 the packs run on ``pool``, or where none is open
+    on a pool of that many workers, and are collected in scan order, so
+    the result does not depend on the thread count; the wedges in flight
+    stay within ``WEDGE_CHUNK``.
 
-    Yields (count, positions) per pack, in scan order. Given ``fpos``,
-    each forward entry's canonical position, and no ``alive``, positions
-    holds per triangle the ``fpos`` of its two forward entries and its
-    probed edge's position, or is None where the pack found no triangle;
-    else it is always None. Each step's triangles come pair by pair,
-    which saves transposing its probes, unless ``ordered``: then they
-    come in scan order, a row's together. Given ``fpos`` and ``bits``,
-    one unsigned integer per canonical edge, and not ``ordered``, the
-    worker folds its pack itself: in place of positions comes
-    ``bit_counts`` of the AND of each triangle's three edges' bits,
-    also where the pack found no triangle.
-    """
+    Yields ``fold(pack, sizes, idx, loc)`` per pack, in scan order, run
+    in the worker that probed it: ``sizes`` holds the wedges of each
+    step, ``idx`` the ascending positions of the hits among the pack's
+    probes and ``loc`` each hit's canonical edge position. Each step's
+    probes come pair by pair, which saves transposing them, unless
+    ``ordered``: then they come in scan order, a row's together."""
     check_threads(threads)
     n, index = g.n, g.index
-    if bits is not None:
-        # each forward entry's bits, gathered once for every pack
-        forward_bits = bits[fpos]
 
     def probe_pack(pack):
         # the wedges of each step of the pack follow the last step's
         sizes = [ii.size * starts.size for _, ii, _, starts in pack]
         probe = np.empty(sum(sizes), dtype=g.edge_keys.dtype)
-        if bits is not None:
-            # laid out as probe: the AND of each wedge's two forward edges' bits
-            tag = np.empty(probe.size, dtype=bits.dtype)
         at = 0
         for (f, ii, jj, starts), size in zip(pack, sizes):
-            if bits is not None:
-                edge = forward_bits[np.arange(f)[:, None] + starts]
-                np.bitwise_and(edge.take(ii, axis=0), edge.take(jj, axis=0),
-                               out=tag[at:at + size].reshape(ii.size, -1))
             # block[c] holds entry c of each of the step's rows and probe[k]
             # their wedges of pair k, so every numpy loop runs over all those
             # rows however small f is. Rows ascend by id, so a < b in each pair.
@@ -297,12 +274,31 @@ def _scan_steps(g: Graph, first: np.ndarray, fdeg: np.ndarray, fidx: np.ndarray,
         # trial faulted some 12 MiB back in (about 3,100 page faults)
         del block, base
         idx, loc = lookup(probe, index)
-        if bits is not None:
-            tags = tag[idx]
-            tags &= bits[loc]
-            return idx.size, bit_counts(tags)
-        if fpos is None:
-            return idx.size if alive is None else int(np.count_nonzero(alive[loc])), None
+        del probe
+        return fold(pack, sizes, idx, loc)
+
+    budget = max(1, WEDGE_CHUNK // threads)
+    return _in_order(probe_pack, _packs(first, fdeg, budget), threads, pool)
+
+
+def count_forward(g: Graph, first: np.ndarray, fdeg: np.ndarray, fidx: np.ndarray,
+                  alive: np.ndarray | None = None) -> int:
+    """Triangle count of the sample of g whose canonical edges are those
+    where ``alive`` holds, all of them where it is None, given its
+    forward rows from ``forward_sample``."""
+
+    def fold(pack, sizes, idx, loc):
+        return idx.size if alive is None else int(np.count_nonzero(alive[loc]))
+
+    return sum(_scan_steps(g, first, fdeg, fidx, fold))
+
+
+def _positions(fpos: np.ndarray, ordered: bool):
+    """A scan's fold, ``ordered`` as the scan's, to (count, positions):
+    per triangle the ``fpos`` of its two forward entries and its probed
+    edge's position, or None where the pack found no triangle."""
+
+    def fold(pack, sizes, idx, loc):
         if not idx.size:
             return 0, None
         firsts, seconds = [], []
@@ -323,16 +319,7 @@ def _scan_steps(g: Graph, first: np.ndarray, fdeg: np.ndarray, fidx: np.ndarray,
         return idx.size, (np.concatenate(firsts, dtype=np.intp),
                           np.concatenate(seconds, dtype=np.intp), loc)
 
-    budget = max(1, WEDGE_CHUNK // threads)
-    return _in_order(probe_pack, _packs(first, fdeg, budget), threads, pool)
-
-
-def count_forward(g: Graph, first: np.ndarray, fdeg: np.ndarray, fidx: np.ndarray,
-                  alive: np.ndarray | None = None) -> int:
-    """Triangle count of the sample of g whose canonical edges are those
-    where ``alive`` holds, all of them where it is None, given its
-    forward rows from ``forward_sample``."""
-    return sum(count for count, _ in _scan_steps(g, first, fdeg, fidx, alive))
+    return fold
 
 
 # Most trials one shared scan counts, a bit each of a uint64.
@@ -363,16 +350,30 @@ def bit_counts(tags: np.ndarray) -> np.ndarray:
 def count_trials(g: Graph, bits: np.ndarray, threads: int = 1, pool=None) -> np.ndarray:
     """Triangle counts of up to ``SCAN_TRIALS`` samples of g from one
     scan of g's own forward rows: bit j of ``bits[e]``, a
-    ``trial_dtype``, is set where sample j keeps canonical edge e. The
-    scan finds each of g's triangles once, and a triangle counts for
-    sample j where all three of its edges have bit j; entry j of the
-    result is sample j's count. Each pack is folded to its counts in the
-    worker that probed it. The packs run as ``count_node_iterator``'s,
-    on ``pool`` where one is open; the counts do not depend on the
-    thread count."""
+    ``trial_dtype``, is set where sample j keeps canonical edge e. A
+    triangle of g counts for sample j where all three of its edges have
+    bit j; entry j of the result is sample j's count. Each pack is folded
+    to its counts in the worker that probed it, on ``pool`` where one is
+    open; the counts do not depend on the thread count."""
+    # each forward entry's bits, gathered once for every pack
+    forward_bits = bits[g.fpos]
+
+    def fold(pack, sizes, idx, loc):
+        # laid out as the probes: the AND of each wedge's two forward edges' bits
+        tag = np.empty(sum(sizes), dtype=bits.dtype)
+        at = 0
+        for (f, ii, jj, starts), size in zip(pack, sizes):
+            # int32: an intp index, made after the lookup, faulted 8 MiB per book(300000) scan
+            edge = forward_bits[np.arange(f, dtype=starts.dtype)[:, None] + starts]
+            np.bitwise_and(edge.take(ii, axis=0), edge.take(jj, axis=0),
+                           out=tag[at:at + size].reshape(ii.size, -1))
+            at += size
+        tags = tag[idx]
+        tags &= bits[loc]
+        return bit_counts(tags)
+
     counts = np.zeros(8 * bits.itemsize, dtype=np.int64)
-    for _, tally in _scan_steps(g, *g.forward_rows, g.fidx, fpos=g.fpos, threads=threads,
-                                bits=bits, pool=pool):
+    for tally in _scan_steps(g, *g.forward_rows, g.fidx, fold, threads, pool=pool):
         counts += tally
     return counts
 
@@ -389,8 +390,8 @@ def triangle_edge_positions(g: Graph, threads: int = 1
     # a leading empty array keeps each concatenation int64 when t = 0
     empty = np.empty(0, dtype=np.int64)
     positions = ([empty], [empty], [empty])
-    for count, pieces in _scan_steps(g, *g.forward_rows, g.fidx, fpos=g.fpos,
-                                     threads=threads, ordered=True):
+    for count, pieces in _scan_steps(g, *g.forward_rows, g.fidx, _positions(g.fpos, True),
+                                     threads, ordered=True):
         t += count
         for out, piece in zip(positions, pieces or ()):
             # a worker allocates from its own glibc arena, which cannot
@@ -426,20 +427,18 @@ def count_node_iterator(g: Graph, *, edge_deltas: bool = False,
     and, for an edge, the rank directory for the edge's position; or,
     above the table's memory budget, its slot screen, which rejects most
     non-edges at once, and a binary search of the sorted edge keys for
-    the pairs it passes. Each step's triangles are added to the per-edge
-    counts as the step arrives. The steps run on ``threads`` workers,
-    each step holding at most ``WEDGE_CHUNK // threads`` pairs (at least
-    one), so the pairs in flight stay within ``WEDGE_CHUNK``; the result
-    does not depend on the thread count.
+    the pairs it passes. Each pack's triangles are added to the per-edge
+    counts as it arrives. The scan runs on ``threads`` workers, at most
+    ``WEDGE_CHUNK`` pairs in flight; the result does not depend on them.
     """
     _require_unweighted(g, "count_node_iterator")
     t = 0
     # an edge is in at most n - 2 < 2^31 triangles
     delta = np.zeros(g.m, dtype=np.int32)
-    # each step's three position arrays are added in as they arrive, in
-    # whatever order, so no more than one step's are held at once
-    for count, pieces in _scan_steps(g, *g.forward_rows, g.fidx, fpos=g.fpos,
-                                     threads=threads):
+    # each pack's three position arrays are added in as they arrive, in
+    # whatever order, so no more than one pack's are held at once
+    for count, pieces in _scan_steps(g, *g.forward_rows, g.fidx, _positions(g.fpos, False),
+                                     threads):
         t += count
         for piece in pieces or ():
             # an int32 one keeps add.at on its fast path; a Python 1 made

@@ -9,7 +9,8 @@ import numpy as np
 
 # a trial's t' is the forward scan of its sample, timed under this name
 from .exact import count_forward as count_triangles
-from .exact import _in_order, count_trials, forward_sample, triangle_edge_positions, trial_dtype
+from .exact import (_in_order, _require_unweighted, count_trials, forward_sample,
+                    triangle_edge_positions, trial_dtype)
 from .graph import Graph
 
 
@@ -108,8 +109,7 @@ def estimate_shared(g: Graph, params: list[SparsifyParams], threads: int = 1,
     serves every trial. The draws and the scan's packs run on ``pool``
     where one is open. Each trial's ``sparsify_time`` and
     ``count_time`` are equal shares of the rung's draw and scan time."""
-    if g.is_weighted:
-        raise ValueError("estimate_shared expects an unweighted graph")
+    _require_unweighted(g, "estimate_shared")
     p, trials = params[0].p, len(params)
     start = perf_counter()
     if p == 1.0:

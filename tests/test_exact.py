@@ -1,8 +1,10 @@
 import itertools
 import sys
 import threading
+import tracemalloc
 from concurrent import futures
 from dataclasses import astuple, fields, replace
+from functools import lru_cache
 
 import numpy as np
 import pytest
@@ -41,6 +43,7 @@ from trisparse import (
 from trisparse import graph as graph_module
 from trisparse.adaptive import doubling_search
 from trisparse.baselines import buriol_sample, naive_sample
+from trisparse.generators import generate
 from trisparse.graph import BitTable, SlotScreen
 from trisparse.sparsify import survival_mask
 
@@ -330,8 +333,8 @@ class TestScreenedKernel:
         for threads in (1, 2):
             sizes.clear()
             got = triangle_edge_positions(g, threads) if collect else (sum(
-                count for count, _ in exact._scan_steps(
-                    g, *g.forward_rows, g.fidx, threads=threads)), None)
+                exact._scan_steps(g, *g.forward_rows, g.fidx,
+                                  lambda pack, sizes, idx, loc: idx.size, threads)), None)
             np.testing.assert_equal(got, want)
             # every wedge probed once, as perfbench counts them, and no step
             # over the per-worker budget, not even one row's wedges, as for
@@ -409,6 +412,56 @@ class TestScreenedKernel:
         monkeypatch.setattr(exact, "lookup", spy)
         np.testing.assert_equal(triangle_edge_positions(g, threads), want)
         assert max(1, exact.WEDGE_CHUNK // threads) < peak[0] <= exact.WEDGE_CHUNK
+
+    @pytest.mark.parametrize("chunk", [1 << 14, 1 << 16])
+    @pytest.mark.parametrize("spec", ["gnp:3000:0.05", "book:3000"])
+    def test_scan_bytes_scale_with_the_wedge_chunk(self, spec, chunk, monkeypatch):
+        # what a scan allocates, less the arrays sized by m or t that its
+        # result holds, is bounded by the wedges of one pack: the probe and
+        # the lookup's temporaries, and a long row's pair indices
+        g, bits = _scan_inputs(spec)
+        monkeypatch.setattr(exact, "WEDGE_CHUNK", chunk)
+        runs = {
+            "count_triangles": (lambda: count_triangles(g), lambda out: 0),
+            # the int32 per-edge counts
+            "count_node_iterator": (lambda: count_node_iterator(g), lambda out: 4 * g.m),
+            # the triangles' positions, held as pieces and once more joined
+            "triangle_edge_positions": (lambda: triangle_edge_positions(g),
+                                        lambda out: 2 * sum(a.nbytes for a in out[1])),
+            # each forward entry's trial bits
+            "count_trials": (lambda: exact.count_trials(g, bits),
+                             lambda out: g.m * bits.itemsize),
+        }
+        for name, (run, held) in runs.items():
+            tracemalloc.start()
+            try:
+                out = run()
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak - held(out) <= _SCAN_BYTES_PER_WEDGE * chunk + _SCAN_FIXED_BYTES, name
+
+
+# A scan's bytes per wedge in flight, and those it allocates whatever the
+# chunk: its plan over the rows and its Python objects
+_SCAN_BYTES_PER_WEDGE = 24
+_SCAN_FIXED_BYTES = 288 << 10
+
+
+@lru_cache(maxsize=None)
+def _scan_inputs(spec: str) -> tuple[Graph, np.ndarray]:
+    """The graph of ``spec`` and the trial bits of a shared rung on it,
+    six trials at p = 0.5, with the parts that are built once per graph
+    or per process, its forward rows and the short rows' pair indices,
+    already made."""
+    g = generate(spec, 1)
+    g.forward_rows
+    for f in range(2, exact._CACHED_PAIRS + 1):
+        exact._pairs(f)
+    bits = np.zeros(g.m, dtype=exact.trial_dtype(6))
+    for j in range(6):
+        bits |= np.left_shift(survival_mask(g.m, SparsifyParams(0.5, j)), j, dtype=bits.dtype)
+    return g, bits
 
 
 def _assert_edge_deltas(g: Graph) -> None:
