@@ -4,8 +4,8 @@ triple census and the global transitivity ratio."""
 from __future__ import annotations
 
 import itertools
-from collections import deque
-from concurrent.futures import ThreadPoolExecutor
+import threading
+from concurrent.futures import ThreadPoolExecutor, wait
 from contextlib import nullcontext
 from dataclasses import dataclass
 from functools import lru_cache
@@ -200,36 +200,52 @@ def _packs(first, fdeg, budget: int):
 
 
 def open_pool(threads: int):
-    """A pool of ``threads`` workers for ``_in_order`` to share, or at one
+    """A pool of ``threads`` workers for ``_share`` to take, or at one
     thread no pool (None): a context manager either way."""
     return ThreadPoolExecutor(threads) if threads > 1 else nullcontext()
 
 
-def _in_order(fn, steps, threads: int, pool=None):
-    """fn of each step, a scan's pack, a trial or a mask, in step order.
-    With one thread the steps run inline; with more they run on ``pool``,
-    or where none is open on a pool of ``threads`` workers opened for
-    them, at most 2 * threads of them submitted ahead of the one being
-    collected (``pool.map`` would submit every step at once, and so hold
-    every class's pair indices together)."""
+def _share(work, steps, threads: int, pool=None) -> None:
+    """``work(step)`` for each of ``steps``: a scan's packs, a rung's
+    trials or its masks. At one thread they run inline, in order. At
+    more, ``threads`` worker loops are submitted once to ``pool``, or to
+    a pool of that many workers opened for them; each takes the next
+    step from ``steps`` under a lock and runs it, so at most ``threads``
+    steps are out of the plan at once and no step waits on the caller.
+    ``work`` reduces its result in place, under a lock of its own, or
+    files it under the step's index where the order matters. The first
+    exception a loop meets stops every loop before its next step and is
+    raised here. A task of ``pool`` must not pass it ``pool``: its loops
+    would queue behind the task that waits for them."""
     if threads == 1:
-        yield from map(fn, steps)
+        for step in steps:
+            work(step)
         return
     if pool is None:
         with ThreadPoolExecutor(threads) as pool:
-            yield from _in_order(fn, steps, threads, pool)
-        return
-    ahead = deque()
-    for step in steps:
-        ahead.append(pool.submit(fn, step))
-        if len(ahead) > 2 * threads:
-            yield ahead.popleft().result()
-    while ahead:
-        yield ahead.popleft().result()
+            return _share(work, steps, threads, pool)
+    plan, lock, failed = iter(steps), threading.Lock(), []
+
+    def loop():
+        try:
+            while True:
+                with lock:
+                    # the plan itself stands for its end
+                    step = plan if failed else next(plan, plan)
+                if step is plan:
+                    return
+                work(step)
+        except BaseException as exc:  # raised on the caller's thread below
+            with lock:
+                failed.append(exc)
+
+    wait([pool.submit(loop) for _ in range(threads)])
+    if failed:
+        raise failed[0]
 
 
 def _scan_steps(g: Graph, first: np.ndarray, fdeg: np.ndarray, fidx: np.ndarray, fold,
-                threads: int = 1, ordered: bool = False, pool=None):
+                threads: int = 1, ordered: bool = False, pool=None) -> None:
     """Node-iterator core (forward / compact-forward, Schank & Wagner):
     for every vertex, test adjacency between pairs of its forward
     neighbors, given as the rows ``first, fdeg`` into ``fidx`` of g or of
@@ -237,21 +253,24 @@ def _scan_steps(g: Graph, first: np.ndarray, fdeg: np.ndarray, fidx: np.ndarray,
     exactly once, at its lowest-ranked vertex. A probe is a ``lookup``
     in g's ``index``, and a row's entries form their probes' bases once,
     not once per pair. Each of the ``_packs`` is probed in one lookup.
-    With ``threads`` > 1 the packs run on ``pool``, or where none is open
-    on a pool of that many workers, and are collected in scan order, so
-    the result does not depend on the thread count; the wedges in flight
-    stay within ``WEDGE_CHUNK``.
+    With ``threads`` > 1 the packs run through ``_share`` on ``pool``, or
+    where none is open on a pool of that many workers: at most
+    ``threads`` packs of at most ``WEDGE_CHUNK // threads`` wedges each
+    are in flight.
 
-    Yields ``fold(pack, sizes, idx, loc)`` per pack, in scan order, run
-    in the worker that probed it: ``sizes`` holds the wedges of each
-    step, ``idx`` the ascending positions of the hits among the pack's
-    probes and ``loc`` each hit's canonical edge position. Each step's
-    probes come pair by pair, which saves transposing them, unless
-    ``ordered``: then they come in scan order, a row's together."""
+    Calls ``fold(k, pack, sizes, idx, loc)`` for the k-th pack in scan
+    order, in the worker that probed it, and fold reduces it in place,
+    so the result does not depend on which worker ran it or when:
+    ``sizes`` holds the wedges of each step, ``idx`` the ascending
+    positions of the hits among the pack's probes and ``loc`` each hit's
+    canonical edge position. Each step's probes come pair by pair, which
+    saves transposing them, unless ``ordered``: then they come in scan
+    order, a row's together."""
     check_threads(threads)
     n, index = g.n, g.index
 
-    def probe_pack(pack):
+    def probe_pack(step):
+        number, pack = step
         # the wedges of each step of the pack follow the last step's
         sizes = [ii.size * starts.size for _, ii, _, starts in pack]
         probe = np.empty(sum(sizes), dtype=g.edge_keys.dtype)
@@ -275,10 +294,10 @@ def _scan_steps(g: Graph, first: np.ndarray, fdeg: np.ndarray, fidx: np.ndarray,
         del block, base
         idx, loc = lookup(probe, index)
         del probe
-        return fold(pack, sizes, idx, loc)
+        fold(number, pack, sizes, idx, loc)
 
     budget = max(1, WEDGE_CHUNK // threads)
-    return _in_order(probe_pack, _packs(first, fdeg, budget), threads, pool)
+    _share(probe_pack, enumerate(_packs(first, fdeg, budget)), threads, pool)
 
 
 def count_forward(g: Graph, first: np.ndarray, fdeg: np.ndarray, fidx: np.ndarray,
@@ -286,40 +305,37 @@ def count_forward(g: Graph, first: np.ndarray, fdeg: np.ndarray, fidx: np.ndarra
     """Triangle count of the sample of g whose canonical edges are those
     where ``alive`` holds, all of them where it is None, given its
     forward rows from ``forward_sample``."""
+    tallies = []
 
-    def fold(pack, sizes, idx, loc):
-        return idx.size if alive is None else int(np.count_nonzero(alive[loc]))
+    def fold(k, pack, sizes, idx, loc):
+        tallies.append(idx.size if alive is None else int(np.count_nonzero(alive[loc])))
 
-    return sum(_scan_steps(g, first, fdeg, fidx, fold))
+    _scan_steps(g, first, fdeg, fidx, fold)
+    return sum(tallies)
 
 
-def _positions(fpos: np.ndarray, ordered: bool):
-    """A scan's fold, ``ordered`` as the scan's, to (count, positions):
-    per triangle the ``fpos`` of its two forward entries and its probed
-    edge's position, or None where the pack found no triangle."""
-
-    def fold(pack, sizes, idx, loc):
-        if not idx.size:
-            return 0, None
-        firsts, seconds = [], []
-        at = lo = 0
-        for (f, ii, jj, starts), size, hi in zip(pack, sizes, np.searchsorted(
-                idx, np.cumsum(sizes)).tolist()):
-            wedge = idx[lo:hi] - at
-            if ordered:
-                row, pair = np.divmod(wedge, ii.size)
-            else:
-                pair, row = np.divmod(wedge, starts.size)
-            # the wedge's forward entries sit ii and jj places into its row
-            start = starts[row]
-            firsts.append(fpos[start + ii[pair]])
-            seconds.append(fpos[start + jj[pair]])
-            at, lo = at + size, hi
-        # intp positions keep the callers' gathers and add.at on their fast paths
-        return idx.size, (np.concatenate(firsts, dtype=np.intp),
-                          np.concatenate(seconds, dtype=np.intp), loc)
-
-    return fold
+def _positions(fpos: np.ndarray, pack, sizes, idx: np.ndarray, loc: np.ndarray,
+               ordered: bool) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The hits of a scan's pack (``_scan_steps``, ``ordered`` as the
+    scan's) as the positions of their triangles' edges: the ``fpos`` of
+    the two forward entries, and the probed edge's, ``loc``."""
+    firsts, seconds = [], []
+    at = lo = 0
+    for (f, ii, jj, starts), size, hi in zip(pack, sizes, np.searchsorted(
+            idx, np.cumsum(sizes)).tolist()):
+        wedge = idx[lo:hi] - at
+        if ordered:
+            row, pair = np.divmod(wedge, ii.size)
+        else:
+            pair, row = np.divmod(wedge, starts.size)
+        # the wedge's forward entries sit ii and jj places into its row
+        start = starts[row]
+        firsts.append(fpos[start + ii[pair]])
+        seconds.append(fpos[start + jj[pair]])
+        at, lo = at + size, hi
+    # intp positions keep the callers' gathers and add.at on their fast paths
+    return (np.concatenate(firsts, dtype=np.intp), np.concatenate(seconds, dtype=np.intp),
+            loc)
 
 
 # Most trials one shared scan counts, a bit each of a uint64.
@@ -354,11 +370,14 @@ def count_trials(g: Graph, bits: np.ndarray, threads: int = 1, pool=None) -> np.
     triangle of g counts for sample j where all three of its edges have
     bit j; entry j of the result is sample j's count. Each pack is folded
     to its counts in the worker that probed it, on ``pool`` where one is
-    open; the counts do not depend on the thread count."""
+    open, and added in under a lock; the counts do not depend on the
+    thread count."""
     # each forward entry's bits, gathered once for every pack
     forward_bits = bits[g.fpos]
+    counts = np.zeros(8 * bits.itemsize, dtype=np.int64)
+    lock = threading.Lock()
 
-    def fold(pack, sizes, idx, loc):
+    def fold(k, pack, sizes, idx, loc):
         # laid out as the probes: the AND of each wedge's two forward edges' bits
         tag = np.empty(sum(sizes), dtype=bits.dtype)
         at = 0
@@ -370,11 +389,11 @@ def count_trials(g: Graph, bits: np.ndarray, threads: int = 1, pool=None) -> np.
             at += size
         tags = tag[idx]
         tags &= bits[loc]
-        return bit_counts(tags)
+        tally = bit_counts(tags)
+        with lock:
+            np.add(counts, tally, out=counts)
 
-    counts = np.zeros(8 * bits.itemsize, dtype=np.int64)
-    for tally in _scan_steps(g, *g.forward_rows, g.fidx, fold, threads, pool=pool):
-        counts += tally
+    _scan_steps(g, *g.forward_rows, g.fidx, fold, threads, pool=pool)
     return counts
 
 
@@ -384,21 +403,21 @@ def triangle_edge_positions(g: Graph, threads: int = 1
     in the canonical edge arrays: ``g.fpos`` of its two forward entries
     and the position the lookup gave for the probed key. Works for
     weighted and unweighted graphs (weights are ignored; only the
-    topology matters). The scan runs on ``threads`` workers; the arrays
-    do not depend on it."""
-    t = 0
+    topology matters). The scan runs on ``threads`` workers; each files
+    its pack's positions under the pack's index, and they are joined in
+    scan order, so the arrays do not depend on the thread count."""
+    found = {}
+
+    def fold(k, pack, sizes, idx, loc):
+        if idx.size:
+            found[k] = _positions(g.fpos, pack, sizes, idx, loc, True)
+
+    _scan_steps(g, *g.forward_rows, g.fidx, fold, threads, ordered=True)
+    order = sorted(found)
     # a leading empty array keeps each concatenation int64 when t = 0
     empty = np.empty(0, dtype=np.int64)
-    positions = ([empty], [empty], [empty])
-    for count, pieces in _scan_steps(g, *g.forward_rows, g.fidx, _positions(g.fpos, True),
-                                     threads, ordered=True):
-        t += count
-        for out, piece in zip(positions, pieces or ()):
-            # a worker allocates from its own glibc arena, which cannot
-            # reuse what the load freed in the main heap; a copy made
-            # here can, and lets the worker's piece go at once
-            out.append(piece if threads == 1 else piece.copy())
-    return t, tuple(np.concatenate(out) for out in positions)
+    positions = tuple(np.concatenate([empty, *(found[k][c] for k in order)]) for c in range(3))
+    return positions[0].size, positions
 
 
 def connected_triples(g: Graph) -> int:
@@ -427,23 +446,30 @@ def count_node_iterator(g: Graph, *, edge_deltas: bool = False,
     and, for an edge, the rank directory for the edge's position; or,
     above the table's memory budget, its slot screen, which rejects most
     non-edges at once, and a binary search of the sorted edge keys for
-    the pairs it passes. Each pack's triangles are added to the per-edge
-    counts as it arrives. The scan runs on ``threads`` workers, at most
+    the pairs it passes. The worker that probed a pack adds its
+    triangles to the per-edge counts under a lock, so no pack's
+    positions outlive it. The scan runs on ``threads`` workers, at most
     ``WEDGE_CHUNK`` pairs in flight; the result does not depend on them.
     """
     _require_unweighted(g, "count_node_iterator")
     t = 0
     # an edge is in at most n - 2 < 2^31 triangles
     delta = np.zeros(g.m, dtype=np.int32)
-    # each pack's three position arrays are added in as they arrive, in
-    # whatever order, so no more than one pack's are held at once
-    for count, pieces in _scan_steps(g, *g.forward_rows, g.fidx, _positions(g.fpos, False),
-                                     threads):
-        t += count
-        for piece in pieces or ():
-            # an int32 one keeps add.at on its fast path; a Python 1 made
-            # it some 50 times slower
-            np.add.at(delta, piece, np.int32(1))
+    lock = threading.Lock()
+
+    def fold(k, pack, sizes, idx, loc):
+        nonlocal t
+        if not idx.size:
+            return
+        pieces = _positions(g.fpos, pack, sizes, idx, loc, False)
+        with lock:
+            t += idx.size
+            for piece in pieces:
+                # an int32 one keeps add.at on its fast path; a Python 1
+                # made it some 50 times slower
+                np.add.at(delta, piece, np.int32(1))
+
+    _scan_steps(g, *g.forward_rows, g.fidx, fold, threads)
     return _stats_from_delta(g, t, delta, edge_deltas)
 
 

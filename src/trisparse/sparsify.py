@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass
 from time import perf_counter
 
@@ -9,7 +10,7 @@ import numpy as np
 
 # a trial's t' is the forward scan of its sample, timed under this name
 from .exact import count_forward as count_triangles
-from .exact import (_in_order, _require_unweighted, count_trials, forward_sample,
+from .exact import (_require_unweighted, _share, count_trials, forward_sample,
                     triangle_edge_positions, trial_dtype)
 from .graph import Graph
 
@@ -102,12 +103,12 @@ def estimate_shared(g: Graph, params: list[SparsifyParams], threads: int = 1,
                     pool=None) -> list[Estimate]:
     """The trials ``params``, 1 to ``exact.SCAN_TRIALS`` of them at one
     rate p, from one scan of g, each equal to its ``estimate_triangles``:
-    trial j's mask is drawn with its own seed and or-ed into bit j of a
-    ``trial_dtype`` per edge as it arrives, so the masks are never all
-    held at once, and ``count_trials`` gives every t' from one scan of
-    g's forward rows. At p = 1 no coin is drawn, and one count of g
-    serves every trial. The draws and the scan's packs run on ``pool``
-    where one is open. Each trial's ``sparsify_time`` and
+    trial j's mask is drawn with its own seed and or-ed, under a lock,
+    into bit j of a ``trial_dtype`` per edge by the worker that drew it,
+    so no mask outlives its draw, and ``count_trials`` gives every t'
+    from one scan of g's forward rows. At p = 1 no coin is drawn, and
+    one count of g serves every trial. The draws and the scan's packs
+    run on ``pool`` where one is open. Each trial's ``sparsify_time`` and
     ``count_time`` are equal shares of the rung's draw and scan time."""
     _require_unweighted(g, "estimate_shared")
     p, trials = params[0].p, len(params)
@@ -116,14 +117,16 @@ def estimate_shared(g: Graph, params: list[SparsifyParams], threads: int = 1,
         kept, bits = [g.m] * trials, None
     else:
         bits = np.zeros(g.m, dtype=trial_dtype(trials))
-        kept = []
+        kept = [0] * trials
+        lock = threading.Lock()
 
-        def draw(j: int) -> np.ndarray:
-            return np.left_shift(survival_mask(g.m, params[j]), j, dtype=bits.dtype)
+        def draw(j: int) -> None:
+            bit = np.left_shift(survival_mask(g.m, params[j]), j, dtype=bits.dtype)
+            kept[j] = int(np.count_nonzero(bit))
+            with lock:
+                np.bitwise_or(bits, bit, out=bits)
 
-        for bit in _in_order(draw, range(trials), threads, pool):
-            bits |= bit
-            kept.append(int(np.count_nonzero(bit)))
+        _share(draw, range(trials), threads, pool)
     sparsify_time = perf_counter() - start
     start = perf_counter()
     t_primes = ([count_triangles(g, *g.forward_rows, g.fidx)] * trials if bits is None

@@ -1,6 +1,7 @@
 import itertools
 import sys
 import threading
+import time
 import tracemalloc
 from concurrent import futures
 from dataclasses import astuple, fields, replace
@@ -41,7 +42,7 @@ from trisparse import (
     weighted_book,
 )
 from trisparse import graph as graph_module
-from trisparse.adaptive import doubling_search
+from trisparse.adaptive import doubling_search, run_trials
 from trisparse.baselines import buriol_sample, naive_sample
 from trisparse.generators import generate
 from trisparse.graph import BitTable, SlotScreen
@@ -332,9 +333,13 @@ class TestScreenedKernel:
         monkeypatch.setattr(exact, "lookup", spy)
         for threads in (1, 2):
             sizes.clear()
-            got = triangle_edge_positions(g, threads) if collect else (sum(
+            if collect:
+                got = triangle_edge_positions(g, threads)
+            else:
+                hits = []
                 exact._scan_steps(g, *g.forward_rows, g.fidx,
-                                  lambda pack, sizes, idx, loc: idx.size, threads)), None)
+                                  lambda k, pack, sizes, idx, loc: hits.append(idx.size), threads)
+                got = sum(hits), None
             np.testing.assert_equal(got, want)
             # every wedge probed once, as perfbench counts them, and no step
             # over the per-worker budget, not even one row's wedges, as for
@@ -573,6 +578,110 @@ class TestThreadedScan:
                 _assert_thread_independent(gnp(120, 0.3, seed), (8,))
         finally:
             sys.setswitchinterval(old)
+
+    @pytest.mark.parametrize("g", [gnp(200, 0.1, 6), book(3000)], ids=["gnp", "book"])
+    def test_folds_match_one_thread_under_stress(self, g, monkeypatch):
+        # four workers, small packs and frequent thread switches: every
+        # fold's reduction, per-edge counts, per-trial counts, filed
+        # positions and filed trials, must lose no update
+        monkeypatch.setattr(exact, "WEDGE_CHUNK", 16)
+        bits = np.zeros(g.m, dtype=exact.trial_dtype(16))
+        for j in range(16):
+            bits |= np.left_shift(survival_mask(g.m, SparsifyParams(0.6, j)), j, dtype=bits.dtype)
+        runs = {
+            "count_node_iterator": lambda threads: count_node_iterator(
+                g, edge_deltas=True, threads=threads),
+            "count_trials": lambda threads: exact.count_trials(g, bits, threads).tolist(),
+            "triangle_edge_positions": lambda threads: triangle_edge_positions(g, threads),
+            # 16 trials alone at p = 0.2, and sharing one scan at p = 0.6
+            "run_trials": lambda threads: [
+                (e.params, e.surviving_edges, e.t_prime)
+                for p in (0.2, 0.6) for e in run_trials(g, p, 5, 0, 16, threads)],
+        }
+        want = {name: run(1) for name, run in runs.items()}
+        old = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            # at least two rounds, and more while two seconds last
+            deadline, rounds = time.perf_counter() + 2.0, 0
+            while rounds < 2 or (rounds < 10 and time.perf_counter() < deadline):
+                for name, run in runs.items():
+                    np.testing.assert_equal(run(4), want[name], err_msg=name)
+                rounds += 1
+        finally:
+            sys.setswitchinterval(old)
+
+    def test_shared_draws_match_one_thread_under_stress(self):
+        # 64 masks of 100,000 edges or-ed into one rung's bits by four
+        # workers: a mask or-ed in without the lock loses bits in about
+        # four rounds of ten, and with them some trials' t'
+        g = gnp(2000, 0.05, 7)
+        want = [(e.surviving_edges, e.t_prime) for e in run_trials(g, 0.6, 1, 0, 64)]
+        old = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            deadline, rounds = time.perf_counter() + 2.0, 0
+            while rounds < 10 or (rounds < 60 and time.perf_counter() < deadline):
+                assert [(e.surviving_edges, e.t_prime)
+                        for e in run_trials(g, 0.6, 1, 0, 64, 4)] == want
+                rounds += 1
+        finally:
+            sys.setswitchinterval(old)
+
+    # count_triangles scans on the calling thread alone
+    @pytest.mark.parametrize("scan, threads", [
+        (scan, threads) for scan in ("count_node_iterator", "triangle_edge_positions",
+                                     "count_trials") for threads in (1, 3)
+    ] + [("count_triangles", 1)])
+    def test_failure_stops_the_scan(self, scan, threads, monkeypatch):
+        # the third pack's lookup raises: the scan raises it, the worker
+        # that met it takes no further pack, the others stop before
+        # their next one, and no worker thread is left running
+        g = gnp(80, 0.3, 4)
+        bits = np.ones(g.m, dtype=np.uint8)
+        run = {"count_node_iterator": lambda: count_node_iterator(g, threads=threads),
+               "triangle_edge_positions": lambda: triangle_edge_positions(g, threads),
+               "count_trials": lambda: exact.count_trials(g, bits, threads),
+               "count_triangles": lambda: count_triangles(g)}[scan]
+        monkeypatch.setattr(exact, "WEDGE_CHUNK", 3 * threads)
+        plan = exact._packs(*g.forward_rows, exact.WEDGE_CHUNK // threads)
+        assert sum(1 for _ in plan) >= 30
+
+        class Failure(RuntimeError):
+            pass
+
+        lock, calls, failed, takes = threading.Lock(), [0], [], []
+        lookup, packs = exact.lookup, exact._packs
+
+        def spy(probe, *args):
+            with lock:
+                calls[0] += 1
+                third = calls[0] == 3
+            if third:
+                failed.append(threading.get_ident())
+                raise Failure
+            return lookup(probe, *args)
+
+        def taken(*args):
+            for pack in packs(*args):
+                # who took the pack, and whether the failure was met by then
+                takes.append((threading.get_ident(), bool(failed)))
+                yield pack
+
+        monkeypatch.setattr(exact, "lookup", spy)
+        monkeypatch.setattr(exact, "_packs", taken)
+        before = threading.active_count()
+        with pytest.raises(Failure):
+            run()
+        assert threading.active_count() == before
+        assert len(failed) == 1
+        assert (failed[0], True) not in takes
+        # three lookups had started when the failure was met; at that time
+        # each other worker held at most one pack, and could take at most
+        # one more while the failing worker reached the plan's lock
+        assert len(takes) <= 3 + 2 * (threads - 1)
+        if threads == 1:
+            assert len(takes) == 3
 
     @pytest.mark.parametrize("chunk", [7, None], ids=["chunk7", "default"])
     @pytest.mark.parametrize("g", [weighted_book(40, 50.0), gnp(80, 0.3, 4)],
