@@ -12,7 +12,7 @@ from time import perf_counter
 
 import numpy as np
 
-from .exact import SCAN_TRIALS, _share, check_threads, open_pool
+from .exact import SCAN_TRIALS, _share, check_threads
 from .graph import Graph
 from .sparsify import Estimate, SparsifyParams, estimate_shared, estimate_triangles
 
@@ -186,12 +186,11 @@ def default_p0(n: int) -> float:
 
 
 def run_trials(g: Graph, p: float, seed: int, batch_index: int, trials: int,
-               threads: int = 1, pool=None) -> list[Estimate]:
+               threads: int = 1) -> list[Estimate]:
     """Sparsify-and-count ``trials`` times at rate p on ``threads`` (at
     least 1) workers, or inline on the calling thread at one; trial j
-    uses seed ``trial_seed(seed, batch_index, j)``. The workers are
-    ``pool``'s, or where none is open those of a pool opened for the
-    rung. Results come back in trial order, whatever the thread count.
+    uses seed ``trial_seed(seed, batch_index, j)``. Results come back in
+    trial order, whatever the thread count.
 
     Where trials * p^2 >= 1, k samples of about p^2 of g's wedges each
     cost more than one scan of g, so the trials share one: each group
@@ -200,19 +199,17 @@ def run_trials(g: Graph, p: float, seed: int, batch_index: int, trials: int,
     equal shares of the rung's. Below that each trial runs alone, and
     the worker that ran it files it under its index."""
     check_threads(threads)
-    if pool is None and threads > 1:
-        with open_pool(threads) as pool:
-            return run_trials(g, p, seed, batch_index, trials, threads, pool)
     params = [SparsifyParams(p=p, seed=trial_seed(seed, batch_index, j)) for j in range(trials)]
     if trials * p * p >= 1.0:
         return [e for a in range(0, trials, SCAN_TRIALS)
-                for e in estimate_shared(g, params[a:a + SCAN_TRIALS], threads, pool)]
+                for e in estimate_shared(g, params[a:a + SCAN_TRIALS], threads)]
     results = [None] * trials
 
     def trial(j: int) -> None:
         results[j] = estimate_triangles(g, params[j])
 
-    _share(trial, range(trials), threads, pool)
+    # no thread without a trial to take
+    _share(trial, range(trials), min(threads, trials))
     return results
 
 
@@ -247,23 +244,21 @@ def doubling_search(g: Graph, p0: float | None = None,
     start = perf_counter()
     trace: list[Batch] = []
     p = p0
-    # one pool serves every rung
-    with open_pool(threads) as pool:
-        while True:
-            results = run_trials(g, p, seed, len(trace), trials_per_p, threads, pool)
-            estimates = tuple(r.estimate for r in results)
-            spread = batch_spread(estimates)
-            # nothing is sampled away at p = 1: the estimates are exact, so the
-            # batch is trivially concentrated even if the graph is triangle-free
-            concentrated = p >= 1.0 or (min(estimates) > 0 and spread is not None
-                                        and spread <= spread_threshold)
-            trace.append(Batch(p=p, estimates=estimates, spread=spread,
-                               concentrated=concentrated,
-                               sparsify_time=sum(r.sparsify_time for r in results),
-                               count_time=sum(r.count_time for r in results)))
-            if concentrated:
-                break
-            p = min(2.0 * p, 1.0)
+    while True:
+        results = run_trials(g, p, seed, len(trace), trials_per_p, threads)
+        estimates = tuple(r.estimate for r in results)
+        spread = batch_spread(estimates)
+        # nothing is sampled away at p = 1: the estimates are exact, so the
+        # batch is trivially concentrated even if the graph is triangle-free
+        concentrated = p >= 1.0 or (min(estimates) > 0 and spread is not None
+                                    and spread <= spread_threshold)
+        trace.append(Batch(p=p, estimates=estimates, spread=spread,
+                           concentrated=concentrated,
+                           sparsify_time=sum(r.sparsify_time for r in results),
+                           count_time=sum(r.count_time for r in results)))
+        if concentrated:
+            break
+        p = min(2.0 * p, 1.0)
     total_time = perf_counter() - start
 
     final = trace[-1]

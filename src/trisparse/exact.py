@@ -5,8 +5,6 @@ from __future__ import annotations
 
 import itertools
 import threading
-from concurrent.futures import ThreadPoolExecutor, wait
-from contextlib import nullcontext
 from dataclasses import dataclass
 from functools import lru_cache
 from math import comb
@@ -199,31 +197,21 @@ def _packs(first, fdeg, budget: int):
         yield pack
 
 
-def open_pool(threads: int):
-    """A pool of ``threads`` workers for ``_share`` to take, or at one
-    thread no pool (None): a context manager either way."""
-    return ThreadPoolExecutor(threads) if threads > 1 else nullcontext()
-
-
-def _share(work, steps, threads: int, pool=None) -> None:
+def _share(work, steps, threads: int) -> None:
     """``work(step)`` for each of ``steps``: a scan's packs, a rung's
     trials or its masks. At one thread they run inline, in order. At
-    more, ``threads`` worker loops are submitted once to ``pool``, or to
-    a pool of that many workers opened for them; each takes the next
-    step from ``steps`` under a lock and runs it, so at most ``threads``
-    steps are out of the plan at once and no step waits on the caller.
-    ``work`` reduces its result in place, under a lock of its own, or
-    files it under the step's index where the order matters. The first
-    exception a loop meets stops every loop before its next step and is
-    raised here. A task of ``pool`` must not pass it ``pool``: its loops
-    would queue behind the task that waits for them."""
+    more, the caller and ``threads - 1`` threads started for the call
+    each run a worker loop that takes the next step from ``steps`` under
+    a lock and runs it, so at most ``threads`` steps are out of the plan
+    at once. ``work`` reduces its result in place, under a lock of its
+    own, or files it under the step's index where the order matters.
+    The first exception a loop meets, an interrupt of the caller
+    included, stops every loop before its next step and is raised here
+    once the started threads have ended."""
     if threads == 1:
         for step in steps:
             work(step)
         return
-    if pool is None:
-        with ThreadPoolExecutor(threads) as pool:
-            return _share(work, steps, threads, pool)
     plan, lock, failed = iter(steps), threading.Lock(), []
 
     def loop():
@@ -239,13 +227,27 @@ def _share(work, steps, threads: int, pool=None) -> None:
             with lock:
                 failed.append(exc)
 
-    wait([pool.submit(loop) for _ in range(threads)])
+    started = []
+    try:
+        # no loop takes a step before every thread has started, so an
+        # interrupt met during the starts stops them all before any work
+        with lock:
+            for _ in range(threads - 1):
+                thread = threading.Thread(target=loop)
+                thread.start()
+                started.append(thread)
+    except BaseException as exc:  # raised on the caller's thread below
+        with lock:
+            failed.append(exc)
+    loop()
+    for thread in started:
+        thread.join()
     if failed:
         raise failed[0]
 
 
 def _scan_steps(g: Graph, first: np.ndarray, fdeg: np.ndarray, fidx: np.ndarray, fold,
-                threads: int = 1, ordered: bool = False, pool=None) -> None:
+                threads: int = 1, ordered: bool = False) -> None:
     """Node-iterator core (forward / compact-forward, Schank & Wagner):
     for every vertex, test adjacency between pairs of its forward
     neighbors, given as the rows ``first, fdeg`` into ``fidx`` of g or of
@@ -253,8 +255,7 @@ def _scan_steps(g: Graph, first: np.ndarray, fdeg: np.ndarray, fidx: np.ndarray,
     exactly once, at its lowest-ranked vertex. A probe is a ``lookup``
     in g's ``index``, and a row's entries form their probes' bases once,
     not once per pair. Each of the ``_packs`` is probed in one lookup.
-    With ``threads`` > 1 the packs run through ``_share`` on ``pool``, or
-    where none is open on a pool of that many workers: at most
+    With ``threads`` > 1 the packs run through ``_share``: at most
     ``threads`` packs of at most ``WEDGE_CHUNK // threads`` wedges each
     are in flight.
 
@@ -297,7 +298,7 @@ def _scan_steps(g: Graph, first: np.ndarray, fdeg: np.ndarray, fidx: np.ndarray,
         fold(number, pack, sizes, idx, loc)
 
     budget = max(1, WEDGE_CHUNK // threads)
-    _share(probe_pack, enumerate(_packs(first, fdeg, budget)), threads, pool)
+    _share(probe_pack, enumerate(_packs(first, fdeg, budget)), threads)
 
 
 def count_forward(g: Graph, first: np.ndarray, fdeg: np.ndarray, fidx: np.ndarray,
@@ -363,15 +364,14 @@ def bit_counts(tags: np.ndarray) -> np.ndarray:
                            for b in range(tags.itemsize)])
 
 
-def count_trials(g: Graph, bits: np.ndarray, threads: int = 1, pool=None) -> np.ndarray:
+def count_trials(g: Graph, bits: np.ndarray, threads: int = 1) -> np.ndarray:
     """Triangle counts of up to ``SCAN_TRIALS`` samples of g from one
     scan of g's own forward rows: bit j of ``bits[e]``, a
     ``trial_dtype``, is set where sample j keeps canonical edge e. A
     triangle of g counts for sample j where all three of its edges have
     bit j; entry j of the result is sample j's count. Each pack is folded
-    to its counts in the worker that probed it, on ``pool`` where one is
-    open, and added in under a lock; the counts do not depend on the
-    thread count."""
+    to its counts in the worker that probed it and added in under a
+    lock; the counts do not depend on the thread count."""
     # each forward entry's bits, gathered once for every pack
     forward_bits = bits[g.fpos]
     counts = np.zeros(8 * bits.itemsize, dtype=np.int64)
@@ -393,7 +393,7 @@ def count_trials(g: Graph, bits: np.ndarray, threads: int = 1, pool=None) -> np.
         with lock:
             np.add(counts, tally, out=counts)
 
-    _scan_steps(g, *g.forward_rows, g.fidx, fold, threads, pool=pool)
+    _scan_steps(g, *g.forward_rows, g.fidx, fold, threads)
     return counts
 
 

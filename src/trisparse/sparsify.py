@@ -99,8 +99,7 @@ def estimate_triangles(g: Graph, params: SparsifyParams) -> Estimate:
     )
 
 
-def estimate_shared(g: Graph, params: list[SparsifyParams], threads: int = 1,
-                    pool=None) -> list[Estimate]:
+def estimate_shared(g: Graph, params: list[SparsifyParams], threads: int = 1) -> list[Estimate]:
     """The trials ``params``, 1 to ``exact.SCAN_TRIALS`` of them at one
     rate p, from one scan of g, each equal to its ``estimate_triangles``:
     trial j's mask is drawn with its own seed and or-ed, under a lock,
@@ -108,7 +107,7 @@ def estimate_shared(g: Graph, params: list[SparsifyParams], threads: int = 1,
     so no mask outlives its draw, and ``count_trials`` gives every t'
     from one scan of g's forward rows. At p = 1 no coin is drawn, and
     one count of g serves every trial. The draws and the scan's packs
-    run on ``pool`` where one is open. Each trial's ``sparsify_time`` and
+    run on ``threads`` workers. Each trial's ``sparsify_time`` and
     ``count_time`` are equal shares of the rung's draw and scan time."""
     _require_unweighted(g, "estimate_shared")
     p, trials = params[0].p, len(params)
@@ -126,11 +125,12 @@ def estimate_shared(g: Graph, params: list[SparsifyParams], threads: int = 1,
             with lock:
                 np.bitwise_or(bits, bit, out=bits)
 
-        _share(draw, range(trials), threads, pool)
+        # no thread without a mask to draw
+        _share(draw, range(trials), min(threads, trials))
     sparsify_time = perf_counter() - start
     start = perf_counter()
     t_primes = ([count_triangles(g, *g.forward_rows, g.fidx)] * trials if bits is None
-                else count_trials(g, bits, threads, pool)[:trials].tolist())
+                else count_trials(g, bits, threads)[:trials].tolist())
     count_time = perf_counter() - start
     return [Estimate(params=pr, surviving_edges=s, t_prime=t, estimate=t / pr.p ** 3,
                      sparsify_time=sparsify_time / trials, count_time=count_time / trials)

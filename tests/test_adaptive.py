@@ -1,7 +1,6 @@
 import importlib
 import math
 import sys
-from concurrent import futures
 
 import numpy as np
 import pytest
@@ -408,24 +407,20 @@ class TestSharedRung:
             (b.p_star, b.final_estimate, b.total_trials) == (1.0, 3000.0, 6 * len(a.trace))
         assert sum(x.p ** 2 * 6 >= 1 for x in a.trace) == 2
 
-    def test_search_opens_one_pool(self, monkeypatch):
-        # every rung, the per-trial ones and the two shared ones, runs on
-        # the search's one pool of ``threads`` workers; at one thread
-        # nothing opens a pool
+    def test_search_opens_one_pool(self, thread_starts):
+        # every rung, the per-trial ones and the two shared ones, gives the
+        # same trace at any thread count; at one thread no thread is
+        # started, and every thread a search starts has ended when it returns
         g = book(3000)
         want = doubling_search(g, spread_threshold=1e-9, seed=11).trace
-        sizes = []
-
-        class Pool(futures.ThreadPoolExecutor):
-            def __init__(self, workers):
-                sizes.append(workers)
-                super().__init__(workers)
-        monkeypatch.setattr(exact, "ThreadPoolExecutor", Pool)
-        for threads, pools in ((2, [2]), (3, [2, 3]), (1, [2, 3])):
+        assert thread_starts == []
+        for threads in (2, 3, 1):
+            thread_starts.clear()
             report = doubling_search(g, spread_threshold=1e-9, seed=11, threads=threads)
             assert [(x.p, x.estimates) for x in report.trace] == \
                 [(x.p, x.estimates) for x in want]
-            assert sizes == pools
+            assert (len(thread_starts) > 0) == (threads > 1)
+            assert not any(thread.is_alive() for thread in thread_starts)
         assert len(want) == 7 and sum(x.p ** 2 * 6 >= 1 for x in want) == 2
 
     @pytest.mark.parametrize("p", [0.2, 0.7, 1.0])

@@ -519,6 +519,13 @@ class TestArgumentErrors:
             main([])
         assert exc.value.code == 2
 
+    def test_interrupt_exits_130_without_traceback(self, tmp_path, capsys, monkeypatch):
+        def interrupted(args):
+            raise KeyboardInterrupt
+        monkeypatch.setattr(cli, "cmd_count", interrupted)
+        assert main(["count", str(_gen(tmp_path, "complete:4"))]) == 130
+        assert capsys.readouterr().err == "error: interrupted\n"
+
     @pytest.mark.parametrize("threads", ["0", "-2"])
     @pytest.mark.parametrize("argv", [
         ["estimate", "--p", "0.5", "--seed", "1"], ["adaptive"], ["bench"], ["count"],

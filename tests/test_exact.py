@@ -1,9 +1,10 @@
+import _thread
 import itertools
+import signal
 import sys
 import threading
 import time
 import tracemalloc
-from concurrent import futures
 from dataclasses import astuple, fields, replace
 from functools import lru_cache
 
@@ -683,6 +684,60 @@ class TestThreadedScan:
         if threads == 1:
             assert len(takes) == 3
 
+    def test_interrupt_stops_the_scan(self, monkeypatch):
+        # an interrupt of the caller, which runs one of the worker loops,
+        # stops the scan as a failure does: it is raised, at most one
+        # more pack per other worker is taken, and no thread is left
+        threads = 3
+        g = gnp(80, 0.3, 4)
+        monkeypatch.setattr(exact, "WEDGE_CHUNK", 3 * threads)
+        assert sum(1 for _ in exact._packs(*g.forward_rows, 3)) >= 30
+        lock, calls, takes = threading.Lock(), [0], []
+        lookup, packs = exact.lookup, exact._packs
+        caller, sent, handled = threading.get_ident(), threading.Event(), threading.Event()
+
+        def on_interrupt(signum, frame):
+            handled.set()
+            raise KeyboardInterrupt
+
+        def interrupt():
+            _thread.interrupt_main()
+            sent.set()
+
+        def spy(probe, *args):
+            with lock:
+                calls[0] += 1
+                call = calls[0]
+            if call == 3:
+                interrupter = threading.Thread(target=interrupt)
+                interrupter.start()
+                interrupter.join()
+            elif call > 3:
+                # past the third lookup the caller waits until the interrupt
+                # is sent, and the other workers until the caller has taken
+                # it; where that never happens, they go on after a while
+                event = sent if threading.get_ident() == caller else handled
+                if not event.wait(2.0):
+                    event.set()
+            return lookup(probe, *args)
+
+        def taken(*args):
+            for pack in packs(*args):
+                takes.append(pack)
+                yield pack
+
+        monkeypatch.setattr(exact, "lookup", spy)
+        monkeypatch.setattr(exact, "_packs", taken)
+        before = threading.active_count()
+        old = signal.signal(signal.SIGINT, on_interrupt)
+        try:
+            with pytest.raises(KeyboardInterrupt):
+                count_node_iterator(g, threads=threads)
+        finally:
+            signal.signal(signal.SIGINT, old)
+        assert threading.active_count() == before
+        assert len(takes) <= 3 + 2 * (threads - 1)
+
     @pytest.mark.parametrize("chunk", [7, None], ids=["chunk7", "default"])
     @pytest.mark.parametrize("g", [weighted_book(40, 50.0), gnp(80, 0.3, 4)],
                              ids=["weighted-book", "gnp"])
@@ -700,26 +755,29 @@ class TestThreadedScan:
         want = count_node_iterator(g, edge_deltas=True)
         assert count_node_iterator(g, edge_deltas=True, threads=3) == want
 
-    def test_one_thread_starts_no_pool(self, monkeypatch):
+    def test_one_thread_starts_no_pool(self, thread_starts):
         g = gnp(60, 0.3, 5)
-        want = count_node_iterator(g)
-
-        def no_pool(*args, **kwargs):
-            raise AssertionError("a serial scan started a pool")
-        monkeypatch.setattr(exact, "ThreadPoolExecutor", no_pool)
+        want = count_node_iterator(g, threads=3)
+        thread_starts.clear()
         assert count_node_iterator(g) == want
         assert count_triangles(g) == want.t
+        assert thread_starts == []
 
-    def test_pool_has_the_asked_workers(self, monkeypatch):
-        sizes = []
+    def test_pool_has_the_asked_workers(self, thread_starts, monkeypatch):
+        # the caller is one of the scan's three workers, and two threads
+        # are started for the others
+        g = gnp(60, 0.3, 5)
+        monkeypatch.setattr(exact, "WEDGE_CHUNK", 3 * 3)
+        assert sum(1 for _ in exact._packs(*g.forward_rows, 3)) >= 30
+        lookup, workers = exact.lookup, set()
 
-        class Pool(futures.ThreadPoolExecutor):
-            def __init__(self, workers):
-                sizes.append(workers)
-                super().__init__(workers)
-        monkeypatch.setattr(exact, "ThreadPoolExecutor", Pool)
-        count_node_iterator(gnp(60, 0.3, 5), threads=3)
-        assert sizes == [3]
+        def spy(*args):
+            workers.add(threading.get_ident())
+            return lookup(*args)
+        monkeypatch.setattr(exact, "lookup", spy)
+        count_node_iterator(g, threads=3)
+        assert len(thread_starts) == 2
+        assert threading.get_ident() in workers and len(workers) <= 3
 
     @pytest.mark.parametrize("threads", [0, -2])
     def test_thread_count_below_one_rejected(self, threads):

@@ -1,6 +1,5 @@
 import functools
 import importlib
-from concurrent import futures
 from dataclasses import replace
 
 import numpy as np
@@ -250,25 +249,19 @@ class TestMaskedTrial:
         assert [estimate_triangles(g, SparsifyParams(p=p, seed=s)).t_prime
                 for g in graphs for p in (0.5, 1.0) for s in range(3)] == want
 
-    def test_starts_no_pool(self, monkeypatch):
-        # trials run in parallel with each other; a pool inside each would
-        # oversubscribe the cores, so a trial's scan runs inline. The
-        # trials' own pool is the only one, and at one thread there is none
+    def test_starts_no_pool(self, thread_starts):
+        # trials run in parallel with each other; threads started inside
+        # each would oversubscribe the cores, so a trial's scan runs inline.
+        # Four trials alone (4 * 0.3^2 < 1) on two workers start one thread,
+        # the rung's, and at one thread none
         g = gnp(80, 0.3, 2)
-        want = [e.t_prime for e in run_trials(g, 0.5, 3, 0, 4, threads=2)]
-        sizes = []
-
-        class Pool(futures.ThreadPoolExecutor):
-            def __init__(self, workers):
-                sizes.append(workers)
-                super().__init__(workers)
-        monkeypatch.setattr(exact, "ThreadPoolExecutor", Pool)
-        assert [e.t_prime for e in run_trials(g, 0.5, 3, 0, 4, threads=2)] == want
-        assert sizes == [2]
-        assert [e.t_prime for e in run_trials(g, 0.5, 3, 0, 4, threads=1)] == want
-        assert sizes == [2]
-        assert estimate_triangles(g, SparsifyParams(p=0.5, seed=trial_seed(3, 0, 0))).t_prime \
+        want = [e.t_prime for e in run_trials(g, 0.3, 3, 0, 4, threads=1)]
+        assert thread_starts == []
+        assert [e.t_prime for e in run_trials(g, 0.3, 3, 0, 4, threads=2)] == want
+        assert len(thread_starts) == 1
+        assert estimate_triangles(g, SparsifyParams(p=0.3, seed=trial_seed(3, 0, 0))).t_prime \
             == want[0]
+        assert len(thread_starts) == 1
 
     def test_rejects_weighted(self):
         with pytest.raises(ValueError):
