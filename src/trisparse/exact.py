@@ -15,11 +15,13 @@ from .graph import Graph, lookup, set_bits
 
 DEFAULT_BRUTE_LIMIT = 1000
 
-# Most wedges the node scan holds at once, across all its workers: each
-# of ``threads`` workers runs one step at a time, and a step holds at
-# most max(1, WEDGE_CHUNK // threads) wedges. The edge iterator, which
-# runs serially, holds at most this many probes per step, or one edge's,
-# and gathers at most this many bitmap words per block, or one row's.
+# Most wedges the node scan holds at once, across all its workers, and a
+# quarter of the most bytes their probes take: each of ``threads``
+# workers runs one pack at a time, of at most max(1, WEDGE_CHUNK //
+# threads) probes of 4-byte keys and half that many of 8-byte keys. The
+# edge iterator, which runs serially, holds at most this many probes per
+# step, or one edge's, and gathers at most this many bitmap words per
+# block, or one row's.
 WEDGE_CHUNK = 1 << 18
 # Forward entries whose survivors a trial's sample collects at once.
 SAMPLE_CHUNK = 1 << 16
@@ -254,10 +256,12 @@ def _scan_steps(g: Graph, first: np.ndarray, fdeg: np.ndarray, fidx: np.ndarray,
     a sample of its edges (``forward_sample``). Each triangle is found
     exactly once, at its lowest-ranked vertex. A probe is a ``lookup``
     in g's ``index``, and a row's entries form their probes' bases once,
-    not once per pair. Each of the ``_packs`` is probed in one lookup.
-    With ``threads`` > 1 the packs run through ``_share``: at most
-    ``threads`` packs of at most ``WEDGE_CHUNK // threads`` wedges each
-    are in flight.
+    not once per pair. Each of the ``_packs`` is probed in one lookup,
+    and is sized by the bytes of its probes, g's key dtype: at most
+    ``WEDGE_CHUNK // threads`` wedges of 4-byte keys, half that many of
+    8-byte ones, or one wedge. With ``threads`` > 1 the packs run through
+    ``_share``, so at most ``threads`` packs are in flight, their probes
+    at most ``4 * WEDGE_CHUNK`` bytes together.
 
     Calls ``fold(k, pack, sizes, idx, loc)`` for the k-th pack in scan
     order, in the worker that probed it, and fold reduces it in place,
@@ -297,7 +301,8 @@ def _scan_steps(g: Graph, first: np.ndarray, fdeg: np.ndarray, fidx: np.ndarray,
         del probe
         fold(number, pack, sizes, idx, loc)
 
-    budget = max(1, WEDGE_CHUNK // threads)
+    # the probes of a pack take at most 4 * WEDGE_CHUNK // threads bytes
+    budget = max(1, 4 * WEDGE_CHUNK // threads // g.edge_keys.itemsize)
     _share(probe_pack, enumerate(_packs(first, fdeg, budget)), threads)
 
 

@@ -14,6 +14,10 @@ from .exact import (_require_unweighted, _share, count_trials, forward_sample,
                     triangle_edge_positions, trial_dtype)
 from .graph import Graph
 
+# Coins a survival mask draws at a time: 512 KiB of float64 draws, so
+# the draws of an m-edge mask take no 8m-byte array
+DRAW_BLOCK = 1 << 16
+
 
 @dataclass(frozen=True)
 class SparsifyParams:
@@ -55,11 +59,22 @@ def survival_mask(m: int, params: SparsifyParams) -> np.ndarray:
     in canonical (u < v, lexicographic) order; edge i survives iff its draw
     is below p. The inversion rule makes survival sets monotone in p for a
     fixed seed, and the i-th decision depends only on the i-th draw.
-    Every draw is below 1, so at p = 1 no draw is made."""
+    Every draw is below 1, so at p = 1 no draw is made.
+
+    The draws are made ``DRAW_BLOCK`` at a time into one reused float64
+    buffer, and each block fills its part of the mask: the generator's
+    stream runs on across calls, so the mask is that of one m-sized draw,
+    and a draw holds the mask plus one block."""
     if params.p == 1.0:
         return np.ones(m, dtype=bool)
-    draws = np.random.default_rng(params.seed).random(m)
-    return draws < params.p
+    rng = np.random.default_rng(params.seed)
+    mask = np.empty(m, dtype=bool)
+    draws = np.empty(min(m, DRAW_BLOCK))
+    for a in range(0, m, DRAW_BLOCK):
+        block = draws[:m - a]
+        rng.random(out=block)
+        np.less(block, params.p, out=mask[a:a + block.size])
+    return mask
 
 
 def sparsify(g: Graph, params: SparsifyParams) -> Graph:

@@ -1,5 +1,6 @@
 import functools
 import importlib
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -39,6 +40,8 @@ from trisparse.adaptive import run_trials
 # the package's own ``sparsify`` attribute is the function
 sparsify_module = importlib.import_module("trisparse.sparsify")
 graph_module = importlib.import_module("trisparse.graph")
+# the coins a survival mask draws at a time
+_BLOCK = sparsify_module.DRAW_BLOCK
 
 TRIANGLE = Graph.build(3, [0, 0, 1], [1, 2, 2])
 
@@ -92,12 +95,28 @@ class TestSparsify:
         large = survival_mask(m, SparsifyParams(p=p2, seed=seed))
         assert not np.any(small & ~large)
 
-    def test_per_edge_independence_of_draws(self):
-        # the i-th survival decision is a pure function of the i-th draw
+    @pytest.mark.parametrize("m", [0, 1, 500, _BLOCK - 1, _BLOCK, _BLOCK + 1, 3 * _BLOCK + 17])
+    def test_per_edge_independence_of_draws(self, m):
+        # the i-th survival decision is a pure function of the i-th draw of
+        # one m-sized draw, however the mask's blocks of draws split it
         params = SparsifyParams(p=0.37, seed=123)
-        mask = survival_mask(500, params)
-        draws = np.random.default_rng(123).random(500)
+        mask = survival_mask(m, params)
+        draws = np.random.default_rng(123).random(m)
+        assert mask.dtype == bool
         assert np.array_equal(mask, draws < 0.37)
+
+    def test_draws_hold_one_block(self):
+        # a mask's draws take one block, not an m-sized float64 array
+        m = 10 * _BLOCK + 5
+        survival_mask(m, SparsifyParams(p=0.5, seed=1))
+        tracemalloc.start()
+        try:
+            survival_mask(m, SparsifyParams(p=0.5, seed=1))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # the mask, its block of draws and the generator
+        assert peak <= m + 8 * _BLOCK + (16 << 10)
 
     @pytest.mark.parametrize("m", [0, 1, 500, 70_000])
     def test_p_one_keeps_every_edge_without_drawing(self, m, monkeypatch):
